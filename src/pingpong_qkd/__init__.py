@@ -28,8 +28,6 @@ from .quantum_core import (
     bell_state,
     discrimination_basis,
     fidelity,
-    helstrom_decide,
-    helstrom_measure,
     helstrom_success,
     measure_computational,
     measure_in_basis,
@@ -44,7 +42,6 @@ from .infotheory import (
     detection_threshold,
     empirical_mutual_information,
     eve_info_bound,
-    eve_info_measurement,
     helstrom_info,
     security_margin,
 )
@@ -56,13 +53,8 @@ from .attacks import (
     NoEve,
     SymmetricEntangle,
     detection_probability_measurement,
-    eve_decode,
-    format_strategy,
-    generic_attack_detection,
     intercept_resend,
-    omega_after_encoding,
     omega_state,
-    parse_strategy,
     resend_state,
 )
 from .pingpong import (

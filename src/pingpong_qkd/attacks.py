@@ -28,7 +28,6 @@ from .quantum_core import (
     _trusted_state,
     apply_pauli_z,
     discrimination_basis,
-    helstrom_decide,
     measure_computational,
     prepare_polarized,
     product_state,
@@ -158,20 +157,6 @@ def return_discrimination_basis(
     return discrimination_basis(s0, s1)
 
 
-def eve_decode(
-    travel: PureState, theta: float, intercept_bit: int, rng: np.random.Generator
-) -> int:
-    """Optimal guess of the encoded bit from the returning travel qubit.
-
-    The honest sender either returned the resent state unchanged (bit 0)
-    or applied the phase flip (bit 1); the two possibilities are
-    discriminated by the optimal two-outcome measurement.
-    """
-    s0 = resend_state(theta, intercept_bit)
-    s1 = apply_pauli_z(s0, 0)
-    return helstrom_decide(s0, s1, travel, rng)
-
-
 def omega_state(alpha: float) -> TwoQubitState:
     """Pair state cos(alpha)|psi-> + sin(alpha)|phi+> left by the symmetric attack."""
     alpha = _canonical_angle(alpha, np.pi / 4.0, "mixing angle")
@@ -182,70 +167,7 @@ def omega_state(alpha: float) -> TwoQubitState:
     return _trusted_state(amps, 2)
 
 
-def omega_after_encoding(alpha: float, alice_bit: int) -> TwoQubitState:
-    """Symmetric-attack pair after the sender's encoding step.
-
-    Bit 0 leaves the state alone; bit 1 applies the phase flip to the
-    travel qubit, carrying the state to the orthogonal combination
-    of |psi+> and |phi->.
-    """
-    if alice_bit not in (0, 1):
-        raise ValueError(f"encoded bit must be 0 or 1, got {alice_bit!r}")
-    state = omega_state(alpha)
-    if alice_bit == 1:
-        state = apply_pauli_z(state, TRAVEL)
-    return state
-
-
 def detection_probability_measurement(theta: float) -> float:
     """Control-mode detection probability sin^2(theta/2) of measure-resend."""
     theta = _canonical_angle(theta, np.pi, "angle")
     return float(np.sin(0.5 * theta) ** 2)
-
-
-def generic_attack_detection(alpha_amp: complex, beta_amp: complex) -> float:
-    """Detection probability |beta_amp|^2 of the generic one-probe attack."""
-    return GenericAncilla(alpha_amp, beta_amp).detection()
-
-
-def parse_strategy(text: str) -> EveStrategy:
-    """Parse an attack spec string.
-
-    Accepted forms: ``none``, ``measure:theta=<radians>``,
-    ``entangle:alpha=<radians>``, ``ancilla:beta2=<probability>``.
-    """
-    spec = text.strip()
-    if spec == "none":
-        return NoEve()
-    head, sep, tail = spec.partition(":")
-    if not sep:
-        raise ValueError(f"unrecognized attack spec {text!r}")
-    key, sep, raw = tail.partition("=")
-    if not sep:
-        raise ValueError(f"attack spec {text!r} is missing a parameter value")
-    try:
-        value = float(raw)
-    except ValueError:
-        raise ValueError(f"attack parameter {raw!r} is not a number") from None
-    if head == "measure" and key == "theta":
-        return MeasureResend(value)
-    if head == "entangle" and key == "alpha":
-        return SymmetricEntangle(value)
-    if head == "ancilla" and key == "beta2":
-        if not 0.0 <= value <= 1.0:
-            raise ValueError(f"detection probability {value!r} outside [0, 1]")
-        return GenericAncilla(np.sqrt(1.0 - value), np.sqrt(value))
-    raise ValueError(f"unrecognized attack spec {text!r}")
-
-
-def format_strategy(strategy: EveStrategy) -> str:
-    """Inverse of parse_strategy, up to float round-trip."""
-    if isinstance(strategy, NoEve):
-        return "none"
-    if isinstance(strategy, MeasureResend):
-        return f"measure:theta={strategy.theta!r}"
-    if isinstance(strategy, SymmetricEntangle):
-        return f"entangle:alpha={strategy.alpha!r}"
-    if isinstance(strategy, GenericAncilla):
-        return f"ancilla:beta2={float(abs(strategy.beta_amp) ** 2)!r}"
-    raise ValueError(f"unknown strategy {strategy!r}")

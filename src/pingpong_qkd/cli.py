@@ -44,33 +44,62 @@ def _resolve_code(path: str) -> css_qkd.BinaryCode:
     return css_qkd.load_code(candidate)
 
 
-def parse_noise(text: str) -> NoiseModel:
-    """Parse a noise spec: none, bitflip:p=, phaseflip:p= or depolarizing:p=."""
+# spec grammar: ``none`` or ``head:key=value``; the key names the
+# parameter field of the model built from the value
+_NOISE_SPECS = {
+    ("bitflip", "p"): BitFlip,
+    ("phaseflip", "p"): PhaseFlip,
+    ("depolarizing", "p"): Depolarizing,
+}
+_ATTACK_SPECS = {
+    ("measure", "theta"): attacks.MeasureResend,
+    ("entangle", "alpha"): attacks.SymmetricEntangle,
+}
+
+
+def _parse_spec(text: str, kind: str, specs: dict, none):
     spec = text.strip()
     if spec == "none":
-        return NoNoise()
-    head, sep, tail = spec.partition(":")
-    if not sep:
-        raise ValueError(f"unrecognized noise spec {text!r}")
+        return none
+    head, _, tail = spec.partition(":")
     key, sep, raw = tail.partition("=")
-    if not sep or key != "p":
-        raise ValueError(f"noise spec {text!r} must give a parameter p=<probability>")
+    make = specs.get((head, key))
+    if make is None or not sep:
+        raise ValueError(f"unrecognized {kind} spec {text!r}")
     try:
-        p = float(raw)
+        value = float(raw)
     except ValueError:
-        raise ValueError(f"noise parameter {raw!r} is not a number") from None
-    models = {"bitflip": BitFlip, "phaseflip": PhaseFlip, "depolarizing": Depolarizing}
-    if head not in models:
-        raise ValueError(f"unrecognized noise spec {text!r}")
-    return models[head](p)
+        raise ValueError(f"{kind} parameter {raw!r} is not a number") from None
+    return make(value)
+
+
+def _format_spec(model, specs: dict, none) -> str:
+    if model == none:
+        return "none"
+    for (head, key), cls in specs.items():
+        if type(model) is cls:
+            return f"{head}:{key}={getattr(model, key)!r}"
+    raise ValueError(f"{model!r} has no spec")
+
+
+def parse_noise(text: str) -> NoiseModel:
+    """Parse a noise spec: none, bitflip:p=, phaseflip:p= or depolarizing:p=."""
+    return _parse_spec(text, "noise", _NOISE_SPECS, NoNoise())
 
 
 def format_noise(model: NoiseModel) -> str:
     """Inverse of parse_noise, up to float round-trip."""
-    if isinstance(model, NoNoise):
-        return "none"
-    names = {BitFlip: "bitflip", PhaseFlip: "phaseflip", Depolarizing: "depolarizing"}
-    return f"{names[type(model)]}:p={model.p!r}"
+    return _format_spec(model, _NOISE_SPECS, NoNoise())
+
+
+def parse_strategy(text: str) -> attacks.EveStrategy:
+    """Parse an attack spec: none, measure:theta=<radians> or entangle:alpha=<radians>."""
+    return _parse_spec(text, "attack", _ATTACK_SPECS, attacks.NoEve())
+
+
+def format_strategy(strategy: attacks.EveStrategy) -> str:
+    """Inverse of parse_strategy, up to float round-trip."""
+    return _format_spec(strategy, _ATTACK_SPECS, attacks.NoEve())
 
 
 def _read_config_file(path: str) -> dict[str, str]:
@@ -133,7 +162,7 @@ def cmd_tradeoff(args: argparse.Namespace) -> int:
             (
                 theta,
                 d_m,
-                infotheory.eve_info_measurement(d_m),
+                infotheory.eve_info_bound(d_m),
                 infotheory.helstrom_info(float(theta)),
             )
         )
@@ -181,7 +210,7 @@ def cmd_pingpong(args: argparse.Namespace) -> int:
     config = pingpong.ProtocolConfig(
         rounds=values["rounds"],
         control_prob=values["control_prob"],
-        eve=attacks.parse_strategy(values["eve"]),
+        eve=parse_strategy(values["eve"]),
         noise=parse_noise(values["noise"]),
         seed=values["seed"],
     )
@@ -189,11 +218,11 @@ def cmd_pingpong(args: argparse.Namespace) -> int:
     theory = report.theory
     print(f"rounds: {config.rounds} (control {report.n_control}, message {report.n_message})")
     print(
-        f"detection rate: {report.detection_rate:.6f}"
+        f"detection rate: {_fmt(report.detection_rate)}"
         + (f"  (theory {theory.detection_rate:.6f})" if theory else "  (no closed form)")
     )
     print(
-        f"bob error rate: {report.bob_error_rate:.6f}"
+        f"bob error rate: {_fmt(report.bob_error_rate)}"
         + (f"  (theory {theory.bob_error_rate:.6f})" if theory else "  (no closed form)")
     )
     print(f"eve accuracy: {_fmt(report.eve_accuracy)}")
@@ -205,7 +234,7 @@ def cmd_pingpong(args: argparse.Namespace) -> int:
             "config": {
                 "rounds": config.rounds,
                 "control_prob": config.control_prob,
-                "eve": attacks.format_strategy(config.eve),
+                "eve": format_strategy(config.eve),
                 "noise": format_noise(config.noise),
                 "seed": config.seed,
             },
@@ -273,7 +302,7 @@ def cmd_qkd(args: argparse.Namespace) -> int:
         t=values["t"],
         t_prime=values["tprime"],
         blocks=values["blocks"],
-        eve=attacks.parse_strategy(values["eve"]),
+        eve=parse_strategy(values["eve"]),
         noise=parse_noise(values["noise"]),
         seed=values["seed"],
     )
@@ -308,7 +337,7 @@ def cmd_qkd(args: argparse.Namespace) -> int:
                 "t": config.t,
                 "tprime": config.t_prime,
                 "blocks": config.blocks,
-                "eve": attacks.format_strategy(config.eve),
+                "eve": format_strategy(config.eve),
                 "noise": format_noise(config.noise),
                 "seed": config.seed,
             },
@@ -390,7 +419,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rounds", type=int, help="number of rounds (default 10000)")
     p.add_argument("--control-prob", type=float, dest="control_prob",
                    help="per-round control probability (default 0.5)")
-    p.add_argument("--eve", help="attack spec: none, measure:theta=, entangle:alpha=, ancilla:beta2=")
+    p.add_argument("--eve", help="attack spec: none, measure:theta=, entangle:alpha=")
     p.add_argument("--noise", help="noise spec: none, bitflip:p=, phaseflip:p=, depolarizing:p=")
     p.add_argument("--seed", type=int, help="session seed (default 0)")
     p.add_argument("--out", help="JSON report path")

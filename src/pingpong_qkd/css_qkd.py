@@ -23,33 +23,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .attacks import (
-    EveStrategy,
-    GenericAncilla,
-    MeasureResend,
-    NoEve,
-    SymmetricEntangle,
-    intercept_resend,
-    omega_state,
-    return_discrimination_basis,
-)
-from .pingpong import DECODE_MAP
-from .quantum_core import (
-    HOME,
-    MAX_QUBITS,
-    TRAVEL,
-    BellOutcome,
-    NoiseModel,
-    NoNoise,
-    PureState,
-    _trusted_state,
-    apply_noise,
-    apply_pauli_z,
-    bell_measure,
-    bell_state,
-    measure_computational,
-    measure_in_basis,
-)
+from .attacks import EveStrategy, NoEve
+from .pingpong import DECODE_MAP, control_check, return_leg, send_leg
+from .quantum_core import MAX_QUBITS, NoiseModel, NoNoise, PureState, _trusted_state
 
 # exhaustive enumeration and syndrome tables are capped at this length
 MAX_CODE_BITS = 24
@@ -315,7 +291,10 @@ def _coset_solver(pair: NestedCodePair) -> tuple[np.ndarray, np.ndarray, tuple[i
     return rref, transform, left_pivots
 
 
-def _basis_coordinates(pair: NestedCodePair, word: BinaryWord) -> np.ndarray:
+def _coset_window(pair: NestedCodePair, word: BinaryWord) -> BinaryWord:
+    # coordinates k2..k1-1 of any word in the solver's basis; on members
+    # of C1 this is the coset label, and a failed decode still needs a
+    # key-length output from its uncorrected word
     rref, transform, pivots = _coset_solver(pair)
     residual = _word_array(word)
     used = np.zeros(rref.shape[0], dtype=np.uint8)
@@ -325,7 +304,8 @@ def _basis_coordinates(pair: NestedCodePair, word: BinaryWord) -> np.ndarray:
             used[i] = 1
     if residual.any():
         raise RuntimeError("full-rank basis failed to span the word")
-    return (used @ transform) & 1
+    coords = (used @ transform) & 1
+    return _array_word(coords[pair.c2.k : pair.c1.k])
 
 
 def coset_key(pair: NestedCodePair, v: BinaryWord) -> BinaryWord:
@@ -336,15 +316,7 @@ def coset_key(pair: NestedCodePair, v: BinaryWord) -> BinaryWord:
     """
     if not contains(pair.c1, v):
         raise ValueError(f"word {v} is not a codeword of the outer code")
-    coords = _basis_coordinates(pair, v)
-    return _array_word(coords[pair.c2.k : pair.c1.k])
-
-
-def _raw_coset_label(pair: NestedCodePair, word: BinaryWord) -> BinaryWord:
-    # same coordinate window without the membership requirement; used
-    # when a failed decode still has to produce a key-length output
-    coords = _basis_coordinates(pair, word)
-    return _array_word(coords[pair.c2.k : pair.c1.k])
+    return _coset_window(pair, v)
 
 
 def codeword_superposition(pair: NestedCodePair, x: BinaryWord) -> PureState:
@@ -465,14 +437,13 @@ def run_qkd_block(
     """Execute one block of the coded protocol.
 
     Sequence: draw the position labeling, Alice's n-bit string x and a
-    random outer codeword v; transmit each pair's travel qubit through
-    noise and the eavesdropper; measure the control positions (Alice
-    then Bob, ascending position order) and abort past t coincidences;
-    encode x on Message positions and 0 on Decoys; return the surviving
-    qubits through noise and the eavesdropper's discrimination; Bell
-    decode; abort past t' decoy ones; finally Bob corrects
-    r XOR (x XOR v) with the outer code and both sides take the coset
-    label as the key.
+    random outer codeword v; send every pair out; check the control
+    positions and abort past t coincidences; return the Message
+    positions encoding x and the Decoys encoding 0; abort past t' decoy
+    ones; finally Bob corrects r XOR (x XOR v) with the outer code and
+    both sides take the coset label as the key.  The legs and their
+    draw order are those of a session round, as set out in the
+    ``pingpong`` module docstring.
 
     ``inject_message_flips`` flips that many of Bob's decoded message
     bits at random distinct positions (drawn after decoding), modeling
@@ -482,12 +453,7 @@ def run_qkd_block(
     ``decode_failures`` and the uncorrected word's coset window is used,
     so the mismatch shows up in agreement statistics.
     """
-    eve = config.eve
-    if isinstance(eve, GenericAncilla):
-        raise ValueError(
-            "the generic ancilla strategy fixes only its amplitude split "
-            "and cannot be simulated round by round"
-        )
+    eve, noise = config.eve, config.noise
     pair = config.pair
     n = pair.c1.n
     if not 0 <= inject_message_flips <= n:
@@ -498,27 +464,11 @@ def run_qkd_block(
     v_message = _array_word(rng.integers(0, 2, size=pair.c1.k, dtype=np.uint8))
     v = encode(pair.c1, v_message)
 
-    # outgoing leg for every position
-    states: list[PureState] = []
-    intercepts: list[int | None] = []
-    for _ in range(len(labeling.labels)):
-        joint = bell_state(BellOutcome.PSI_MINUS)
-        joint = apply_noise(joint, config.noise, TRAVEL, rng)
-        bit = None
-        if isinstance(eve, MeasureResend):
-            record, joint = intercept_resend(joint, eve.theta, rng)
-            bit = record.intercept_bit
-        elif isinstance(eve, SymmetricEntangle):
-            joint = omega_state(eve.alpha)
-        states.append(joint)
-        intercepts.append(bit)
+    legs = [send_leg(eve, noise, rng) for _ in labeling.labels]
 
-    coincidences = 0
-    for pos in labeling.positions(PositionKind.CONTROL):
-        alice_result, collapsed = measure_computational(states[pos], TRAVEL, rng)
-        bob_result, _ = measure_computational(collapsed, HOME, rng)
-        if alice_result == bob_result:
-            coincidences += 1
+    coincidences = sum(
+        control_check(legs[pos][1], rng) for pos in labeling.positions(PositionKind.CONTROL)
+    )
     if coincidences > config.t:
         return AbortedControl(coincidences)
 
@@ -529,15 +479,9 @@ def run_qkd_block(
 
     decoded: dict[int, int] = {}
     for pos in sorted(encoded):
-        joint = states[pos]
-        if encoded[pos] == 1:
-            joint = apply_pauli_z(joint, TRAVEL)
-        joint = apply_noise(joint, config.noise, TRAVEL, rng)
-        if isinstance(eve, MeasureResend):
-            basis = return_discrimination_basis(eve.theta, intercepts[pos])
-            if basis is not None:
-                _, joint = measure_in_basis(joint, TRAVEL, basis, rng)
-        decoded[pos] = DECODE_MAP[bell_measure(joint, rng)]
+        record, joint = legs[pos]
+        outcome, _ = return_leg(joint, encoded[pos], record, eve, noise, rng)
+        decoded[pos] = DECODE_MAP[outcome]
 
     decoy_ones = sum(decoded[pos] for pos in decoy_positions)
     if decoy_ones > config.t_prime:
@@ -551,13 +495,11 @@ def run_qkd_block(
     announced = x ^ _word_array(v)
     w = _array_word(r ^ announced)
     v_hat = syndrome_decode(pair.c1, w)
-    failures = 0
-    if v_hat is None:
-        failures = 1
-        bob_key = _raw_coset_label(pair, w)
-    else:
-        bob_key = _raw_coset_label(pair, v_hat)
-    return Completed(alice_key=coset_key(pair, v), bob_key=bob_key, decode_failures=failures)
+    return Completed(
+        alice_key=coset_key(pair, v),
+        bob_key=_coset_window(pair, w if v_hat is None else v_hat),
+        decode_failures=int(v_hat is None),
+    )
 
 
 @dataclass(frozen=True)
@@ -607,7 +549,9 @@ def run_qkd_session(config: QkdConfig) -> QkdSessionReport:
 def load_code(path: str | Path) -> BinaryCode:
     """Read a code file: first line `n k`, then k rows of n characters in 01.
 
-    Blank lines and lines starting with `#` are skipped.
+    Blank lines and lines starting with `#` are skipped.  Codes longer
+    than ``MAX_CODE_BITS`` are refused here, since decoding one would
+    fail only once a block completes.
     """
     text = Path(path).read_text()
     lines = [
@@ -624,6 +568,10 @@ def load_code(path: str | Path) -> BinaryCode:
         n, k = int(header[0]), int(header[1])
     except ValueError:
         raise ValueError(f"code file {path}: header must be two integers") from None
+    if n > MAX_CODE_BITS:
+        raise ValueError(
+            f"code file {path}: block length {n} exceeds the {MAX_CODE_BITS}-bit cap"
+        )
     rows = lines[1:]
     if len(rows) != k:
         raise ValueError(f"code file {path}: expected {k} generator rows, found {len(rows)}")

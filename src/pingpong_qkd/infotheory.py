@@ -13,24 +13,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .attacks import _canonical_angle
+
 # validation grace for probabilities produced by float trig
 _EPS = 1e-12
-
-# angle arguments given as rounded literals (0.7854 for pi/4) may land
-# slightly past the bound; accept within this grace and clamp
-_ANGLE_TOL = 1e-4
 
 
 def _clip_unit(p: float, lo: float, hi: float, what: str) -> float:
     if not lo - _EPS <= p <= hi + _EPS:
         raise ValueError(f"{what} {p!r} outside [{lo}, {hi}]")
     return min(max(p, lo), hi)
-
-
-def _clip_angle(value: float, hi: float, what: str) -> float:
-    if not -_ANGLE_TOL <= value <= hi + _ANGLE_TOL:
-        raise ValueError(f"{what} {value!r} outside [0, {hi:.6g}]")
-    return min(max(float(value), 0.0), hi)
 
 
 def binary_entropy(p: float) -> float:
@@ -45,21 +37,12 @@ def eve_info_bound(d: float) -> float:
     """Maximal eavesdropper information H(d) at detection probability d.
 
     The optimum over all one-ancilla entangling probes with detection
-    probability d <= 1/2 is the binary entropy of d itself.
+    probability d <= 1/2 is the binary entropy of d itself.  The
+    measure-resend attack at polar angle theta saturates it: it causes
+    d = sin^2(theta/2) and gains H(d) bits.
     """
     d = _clip_unit(float(d), 0.0, 0.5, "detection probability")
     return binary_entropy(d)
-
-
-def eve_info_measurement(d_m: float) -> float:
-    """Information H(d_m) gained by the measure-resend attack.
-
-    The attack at polar angle theta causes d_m = sin^2(theta/2) and the
-    resulting classical channel to the eavesdropper carries H(d_m) bits,
-    saturating the general bound.
-    """
-    d_m = _clip_unit(float(d_m), 0.0, 0.5, "detection probability")
-    return binary_entropy(d_m)
 
 
 def bob_info_symmetric(alpha: float) -> float:
@@ -69,7 +52,7 @@ def bob_info_symmetric(alpha: float) -> float:
     [0, pi/4] turns the protocol into a binary symmetric channel with
     crossover probability sin^2(alpha).
     """
-    alpha = _clip_angle(alpha, np.pi / 4.0, "mixing angle")
+    alpha = _canonical_angle(alpha, np.pi / 4.0, "mixing angle")
     return 1.0 - binary_entropy(float(np.sin(alpha) ** 2))
 
 
@@ -82,7 +65,7 @@ def helstrom_info(theta: float) -> float:
     the induced binary symmetric channel carries
     1 - H((1 - sin theta)/2) bits.
     """
-    theta = _clip_angle(theta, np.pi / 2.0, "angle")
+    theta = _canonical_angle(theta, np.pi / 2.0, "angle")
     miss = 0.5 * (1.0 - float(np.sin(theta)))
     return 1.0 - binary_entropy(miss)
 

@@ -10,10 +10,24 @@ nothing for 0 and returns the qubit, and Bob reads the bit with a Bell
 measurement.
 
 Channel noise acts once per transit leg, before the eavesdropper on the
-outgoing leg and before Bob's measurement on the return leg.  Every
-random draw comes from the single session Generator, in a fixed
-documented order, so a session is bit-for-bit reproducible from its
-seed.
+outgoing leg and before Bob's measurement on the return leg.  The round
+is built from three legs, shared with the coded protocol in ``css_qkd``:
+``send_leg``, ``control_check`` and ``return_leg``.  Every random draw
+comes from one Generator, in this fixed order, so a run is bit-for-bit
+reproducible from its seed:
+
+* ``send_leg``: outgoing noise, then the eavesdropper's interception.
+* ``control_check``: Alice's measurement, then Bob's.
+* ``return_leg``: return noise, the eavesdropper's discrimination (a
+  fair coin when the two possible returns coincide, at theta = 0), then
+  Bob's Bell measurement.
+
+A session round draws ``send_leg``, then the mode, then either
+``control_check`` or the message bit and ``return_leg``.  A coded block
+(``css_qkd.run_qkd_block``) first draws its position labeling, string
+and codeword, then ``send_leg`` for every position in order,
+``control_check`` for the control positions in ascending order, and
+``return_leg`` for the message and decoy positions in ascending order.
 """
 
 from __future__ import annotations
@@ -43,6 +57,7 @@ from .quantum_core import (
     NoiseModel,
     NoNoise,
     PhaseFlip,
+    TwoQubitState,
     apply_noise,
     apply_pauli_z,
     bell_measure,
@@ -61,6 +76,11 @@ DECODE_MAP: dict[BellOutcome, int] = {
     BellOutcome.PHI_PLUS: 1,
     BellOutcome.PHI_MINUS: 0,
 }
+
+
+# the record of a round in which the eavesdropper learned nothing;
+# records are frozen, so every such round shares this one
+_NO_RECORD = EveRecord()
 
 
 class Mode(Enum):
@@ -116,62 +136,67 @@ class SessionReport:
     """Aggregated Monte Carlo estimates for one session.
 
     ``eve_accuracy`` and ``i_ae_hat`` are None unless the strategy makes
-    per-round guesses; ``i_ab_hat`` is None when no message rounds ran.
+    per-round guesses; ``detection_rate`` is None when no control rounds
+    ran, and ``bob_error_rate`` and ``i_ab_hat`` when no message rounds
+    ran.
     ``theory`` is None for configs without a closed form.
     """
 
     n_control: int
     n_coincidence: int
-    detection_rate: float
+    detection_rate: float | None
     n_message: int
-    bob_error_rate: float
+    bob_error_rate: float | None
     eve_accuracy: float | None
     i_ab_hat: float | None
     i_ae_hat: float | None
     theory: TheoryRates | None
 
 
-def run_round(config: ProtocolConfig, rng: np.random.Generator) -> RoundOutcome:
-    """Simulate one round.
+def send_leg(
+    eve: EveStrategy, noise: NoiseModel, rng: np.random.Generator
+) -> tuple[EveRecord, TwoQubitState]:
+    """Prepare |psi->, send the travel qubit through noise and the eavesdropper.
 
-    Draw order: outgoing noise, eavesdropper interception, mode choice,
-    then either the two control measurements (Alice first) or the
-    message bit, return noise, eavesdropper discrimination and Bob's
-    Bell measurement.
+    Returns the eavesdropper's record and the pair as it reaches Alice.
     """
-    eve = config.eve
     if isinstance(eve, GenericAncilla):
         raise ValueError(
             "the generic ancilla strategy fixes only its amplitude split "
             "and cannot be simulated round by round"
         )
-    joint = bell_state(BellOutcome.PSI_MINUS)
-    record = EveRecord()
-
-    joint = apply_noise(joint, config.noise, TRAVEL, rng)
+    joint = apply_noise(bell_state(BellOutcome.PSI_MINUS), noise, TRAVEL, rng)
     if isinstance(eve, MeasureResend):
-        record, joint = intercept_resend(joint, eve.theta, rng)
-    elif isinstance(eve, SymmetricEntangle):
+        return intercept_resend(joint, eve.theta, rng)
+    if isinstance(eve, SymmetricEntangle):
         # the substitution discards the incoming pair entirely
-        joint = omega_state(eve.alpha)
+        return _NO_RECORD, omega_state(eve.alpha)
+    return _NO_RECORD, joint
 
-    if rng.random() < config.control_prob:
-        alice_result, joint = measure_computational(joint, TRAVEL, rng)
-        bob_result, _ = measure_computational(joint, HOME, rng)
-        return RoundOutcome(
-            mode=Mode.CONTROL,
-            alice_bit=None,
-            coincidence=alice_result == bob_result,
-            bob_bell=None,
-            bob_decoded=None,
-            eve=record,
-        )
 
-    alice_bit = int(rng.integers(2))
-    if alice_bit == 1:
+def control_check(joint: TwoQubitState, rng: np.random.Generator) -> bool:
+    """Alice measures the travel qubit, then Bob the home qubit; True on a coincidence."""
+    alice_result, joint = measure_computational(joint, TRAVEL, rng)
+    bob_result, _ = measure_computational(joint, HOME, rng)
+    return alice_result == bob_result
+
+
+def return_leg(
+    joint: TwoQubitState,
+    bit: int,
+    record: EveRecord,
+    eve: EveStrategy,
+    noise: NoiseModel,
+    rng: np.random.Generator,
+) -> tuple[BellOutcome, EveRecord]:
+    """Encode ``bit``, return the travel qubit and let Bob Bell-measure the pair.
+
+    Returns Bob's outcome and the record completed with the
+    eavesdropper's guess of ``bit``.
+    """
+    if bit == 1:
         joint = apply_pauli_z(joint, TRAVEL)
-
-    joint = apply_noise(joint, config.noise, TRAVEL, rng)
+    joint = apply_noise(joint, noise, TRAVEL, rng)
     if isinstance(eve, MeasureResend):
         basis = return_discrimination_basis(eve.theta, record.intercept_bit)
         if basis is None:
@@ -179,8 +204,23 @@ def run_round(config: ProtocolConfig, rng: np.random.Generator) -> RoundOutcome:
         else:
             guess, joint = measure_in_basis(joint, TRAVEL, basis, rng)
         record = EveRecord(record.intercept_bit, guess)
+    return bell_measure(joint, rng), record
 
-    outcome = bell_measure(joint, rng)
+
+def run_round(config: ProtocolConfig, rng: np.random.Generator) -> RoundOutcome:
+    """Simulate one round, drawing in the order given in the module docstring."""
+    record, joint = send_leg(config.eve, config.noise, rng)
+    if rng.random() < config.control_prob:
+        return RoundOutcome(
+            mode=Mode.CONTROL,
+            alice_bit=None,
+            coincidence=control_check(joint, rng),
+            bob_bell=None,
+            bob_decoded=None,
+            eve=record,
+        )
+    alice_bit = int(rng.integers(2))
+    outcome, record = return_leg(joint, alice_bit, record, config.eve, config.noise, rng)
     return RoundOutcome(
         mode=Mode.MESSAGE,
         alice_bit=alice_bit,
@@ -269,9 +309,9 @@ def run_session(config: ProtocolConfig) -> SessionReport:
     return SessionReport(
         n_control=n_control,
         n_coincidence=n_coincidence,
-        detection_rate=n_coincidence / n_control if n_control else 0.0,
+        detection_rate=n_coincidence / n_control if n_control else None,
         n_message=n_message,
-        bob_error_rate=n_bob_errors / n_message if n_message else 0.0,
+        bob_error_rate=n_bob_errors / n_message if n_message else None,
         eve_accuracy=n_guesses_right / n_guesses if n_guesses else None,
         i_ab_hat=empirical_mutual_information(counts_ab) if n_message else None,
         i_ae_hat=empirical_mutual_information(counts_ae) if n_guesses else None,

@@ -325,36 +325,6 @@ def helstrom_success(s0: PureState, s1: PureState) -> float:
     return 0.5 * (1.0 + np.sqrt(max(0.0, 1.0 - overlap_sq)))
 
 
-def helstrom_measure(
-    s0: PureState,
-    s1: PureState,
-    received: PureState,
-    rng: np.random.Generator,
-) -> tuple[int, PureState]:
-    """Measure ``received`` in the optimal s0/s1 basis.
-
-    Returns (guess, post-measurement state).  The guess is 0 on the
-    positive-eigenvector outcome.  For indistinguishable pairs the guess
-    is a fair coin and the state passes through untouched.
-    """
-    basis = discrimination_basis(s0, s1)
-    if basis is None:
-        return int(rng.integers(2)), received
-    outcome, collapsed = measure_in_basis(received, 0, basis, rng)
-    return outcome, collapsed
-
-
-def helstrom_decide(
-    s0: PureState,
-    s1: PureState,
-    received: PureState,
-    rng: np.random.Generator,
-) -> int:
-    """Guess which of s0/s1 ``received`` was drawn from, discarding the state."""
-    guess, _ = helstrom_measure(s0, s1, received, rng)
-    return guess
-
-
 @dataclass(frozen=True)
 class NoNoise:
     """Identity channel."""

@@ -31,7 +31,7 @@ from pingpong_qkd.infotheory import (
     binary_entropy,
     bob_info_symmetric,
     detection_threshold,
-    eve_info_measurement,
+    eve_info_bound,
     helstrom_info,
     security_margin,
 )
@@ -299,7 +299,7 @@ def test_criterion_8_decoder_never_beats_the_bound():
     grid = np.linspace(0.0, math.pi / 2, 100)
     for theta in grid:
         concrete = helstrom_info(theta)
-        bound = eve_info_measurement(math.sin(theta / 2) ** 2)
+        bound = eve_info_bound(math.sin(theta / 2) ** 2)
         if concrete > bound + 1e-12:
             failures.append(f"theta={theta:.4f}: decoder {concrete} beats bound {bound}")
         gap = bound - concrete

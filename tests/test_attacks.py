@@ -12,16 +12,13 @@ from pingpong_qkd.attacks import (
     NoEve,
     SymmetricEntangle,
     detection_probability_measurement,
-    eve_decode,
-    format_strategy,
-    generic_attack_detection,
     intercept_resend,
-    omega_after_encoding,
     omega_state,
-    parse_strategy,
     resend_state,
     return_discrimination_basis,
 )
+from pingpong_qkd.cli import format_strategy, parse_strategy
+from pingpong_qkd.pingpong import ProtocolConfig, run_round
 from pingpong_qkd.quantum_core import (
     TRAVEL,
     BellOutcome,
@@ -30,7 +27,7 @@ from pingpong_qkd.quantum_core import (
     bell_state,
     fidelity,
     helstrom_success,
-    prepare_polarized,
+    measure_in_basis,
     reduced_density_travel,
 )
 
@@ -148,20 +145,23 @@ class TestReturnDiscrimination:
         s_plain = resend_state(theta, 0)
         s_flipped = apply_pauli_z(s_plain, 0)
         target = helstrom_success(s_plain, s_flipped)
+        basis = return_discrimination_basis(theta, 0)
         n = 20000
         correct = 0
         for _ in range(n):
             truth = int(rng.integers(2))
             received = s_flipped if truth else s_plain
-            guess = eve_decode(received, theta, 0, rng)
+            guess, _ = measure_in_basis(received, 0, basis, rng)
             correct += guess == truth
         sigma = math.sqrt(target * (1 - target) * n)
         assert abs(correct - target * n) < 3 * sigma
 
     def test_decode_at_degenerate_angle_is_coin_flip(self):
+        # with no basis to measure in, the engine's guess is a fair coin
         rng = np.random.default_rng(7)
+        config = ProtocolConfig(rounds=1, control_prob=0.0, eve=MeasureResend(0.0))
         n = 2000
-        ones = sum(eve_decode(resend_state(0.0, 0), 0.0, 0, rng) for _ in range(n))
+        ones = sum(run_round(config, rng).eve.guess_bit for _ in range(n))
         assert abs(ones - n / 2) < 3 * math.sqrt(n * 0.25)
 
 
@@ -194,7 +194,7 @@ class TestOmegaState:
 
     def test_encoding_swaps_outcome_pattern(self):
         for alpha in (0.2, 0.5, math.pi / 4):
-            probs = bell_probabilities(omega_after_encoding(alpha, 1))
+            probs = bell_probabilities(apply_pauli_z(omega_state(alpha), TRAVEL))
             assert probs[BellOutcome.PSI_PLUS] == pytest.approx(
                 math.cos(alpha) ** 2, abs=1e-12
             )
@@ -203,13 +203,31 @@ class TestOmegaState:
             )
 
     def test_encoding_zero_is_identity(self):
-        alpha = 0.3
-        assert fidelity(omega_after_encoding(alpha, 0), omega_state(alpha)) == pytest.approx(1.0)
+        # unencoded rounds of a session only show the substituted pair's
+        # own pattern; encoded rounds only show the swapped one
+        rng = np.random.default_rng(8)
+        config = ProtocolConfig(rounds=1, control_prob=0.0, eve=SymmetricEntangle(0.3))
+        patterns = {
+            0: {BellOutcome.PSI_MINUS, BellOutcome.PHI_PLUS},
+            1: {BellOutcome.PSI_PLUS, BellOutcome.PHI_MINUS},
+        }
+        seen = {0: set(), 1: set()}
+        for _ in range(400):
+            outcome = run_round(config, rng)
+            seen[outcome.alice_bit].add(outcome.bob_bell)
+        assert seen == patterns
 
     def test_encoding_matches_explicit_phase_flip(self):
+        # the phase flip carries cos|psi-> + sin|phi+> to the orthogonal
+        # -cos|psi+> + sin|phi->
         alpha = 0.7
         flipped = apply_pauli_z(omega_state(alpha), TRAVEL)
-        assert fidelity(omega_after_encoding(alpha, 1), flipped) == pytest.approx(1.0, abs=1e-12)
+        expected = (
+            -math.cos(alpha) * bell_state(BellOutcome.PSI_PLUS).amps
+            + math.sin(alpha) * bell_state(BellOutcome.PHI_MINUS).amps
+        )
+        np.testing.assert_allclose(flipped.amps, expected, atol=1e-12)
+        assert fidelity(flipped, omega_state(alpha)) == pytest.approx(0.0, abs=1e-12)
 
 
 class TestDetectionFormulas:
@@ -224,10 +242,6 @@ class TestDetectionFormulas:
     def test_measurement_detection_rejects_out_of_range(self):
         with pytest.raises(ValueError):
             detection_probability_measurement(3.5)
-
-    def test_generic_detection_is_ancilla_weight(self):
-        value = generic_attack_detection(math.sqrt(0.9), math.sqrt(0.1))
-        assert value == pytest.approx(0.1, abs=1e-12)
 
 
 class TestStrategyGrammar:
@@ -244,13 +258,15 @@ class TestStrategyGrammar:
         assert isinstance(attack, SymmetricEntangle)
         assert attack.alpha == pytest.approx(0.3398)
 
-    def test_parse_ancilla(self):
-        attack = parse_strategy("ancilla:beta2=0.25")
-        assert isinstance(attack, GenericAncilla)
-        assert attack.detection() == pytest.approx(0.25, abs=1e-12)
+    def test_ancilla_is_not_a_spec(self):
+        # the generic ancilla cannot run round by round, so no command takes it
+        with pytest.raises(ValueError, match="unrecognized attack spec"):
+            parse_strategy("ancilla:beta2=0.25")
+        with pytest.raises(ValueError, match="has no spec"):
+            format_strategy(GenericAncilla(math.sqrt(0.75), math.sqrt(0.25)))
 
     def test_round_trip_through_format(self):
-        specs = ["none", "measure:theta=0.7", "entangle:alpha=0.25", "ancilla:beta2=0.11"]
+        specs = ["none", "measure:theta=0.7", "entangle:alpha=0.25"]
         for text in specs:
             attack = parse_strategy(text)
             again = parse_strategy(format_strategy(attack))

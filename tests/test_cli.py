@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+from pingpong_qkd import css_qkd
 from pingpong_qkd.cli import format_noise, main, parse_noise
 from pingpong_qkd.css_qkd import bundled_code_path
 from pingpong_qkd.quantum_core import BitFlip, Depolarizing, NoNoise, PhaseFlip
@@ -171,6 +172,20 @@ class TestPingpongCommand:
         assert run_cli("pingpong", "--rounds", "10", "--eve", "laser:w=1") == 2
         assert "laser" in capsys.readouterr().err
 
+    def test_ancilla_spec_rejected(self, capsys):
+        assert run_cli("pingpong", "--rounds", "10", "--eve", "ancilla:beta2=0.1") == 2
+        assert "unrecognized attack spec" in capsys.readouterr().err
+
+    def test_empty_denominator_is_null(self, tmp_path, capsys):
+        out = tmp_path / "r.json"
+        assert run_cli("pingpong", "--rounds", "10", "--control-prob", "0",
+                       "--out", str(out)) == 0
+        assert "detection rate: n/a" in capsys.readouterr().out
+        doc = json.loads(out.read_text())
+        assert doc["n_control"] == 0
+        assert doc["detection_rate"] is None
+        assert '"detection_rate": null' in out.read_text()
+
     def test_malformed_noise_spec(self, capsys):
         assert run_cli("pingpong", "--rounds", "10", "--noise", "static") == 2
         assert "static" in capsys.readouterr().err
@@ -226,6 +241,23 @@ class TestQkdCommand:
     def test_missing_code_file(self, tmp_path, capsys):
         assert run_cli("qkd", "--c1", str(tmp_path / "nope.code"), "--blocks", "1") == 2
         assert "nope.code" in capsys.readouterr().err
+
+    def test_oversized_code_rejected_before_any_block(self, tmp_path, capsys, monkeypatch):
+        c1 = tmp_path / "c1.code"
+        c2 = tmp_path / "c2.code"
+        c1.write_text("26 2\n" + "1" * 26 + "\n" + "1" * 13 + "0" * 13 + "\n")
+        c2.write_text("26 1\n" + "1" * 26 + "\n")
+
+        def no_block(*args, **kwargs):
+            raise AssertionError("a block ran before the code was rejected")
+
+        monkeypatch.setattr(css_qkd, "run_qkd_block", no_block)
+        code = run_cli("qkd", "--c1", str(c1), "--c2", str(c2), "--blocks", "3",
+                       "--m", "5", "--l", "5")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert str(c1) in err
+        assert "exceeds the 24-bit cap" in err
 
     def test_nested_violation(self, tmp_path, capsys):
         rogue = tmp_path / "rogue.code"

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from pingpong_qkd.attacks import MeasureResend
+from pingpong_qkd.attacks import GenericAncilla, MeasureResend
 from pingpong_qkd.css_qkd import (
     AbortedControl,
     AbortedDecoy,
@@ -302,6 +302,12 @@ class TestQkdConfig:
 
 
 class TestRunQkdBlock:
+    def test_generic_ancilla_cannot_run(self, pair):
+        attack = GenericAncilla(math.sqrt(0.8), math.sqrt(0.2))
+        config = QkdConfig(pair=pair, m=5, l=5, eve=attack)
+        with pytest.raises(ValueError, match="generic ancilla"):
+            run_qkd_block(config, np.random.default_rng(0))
+
     def test_clean_block_completes_and_agrees(self, pair):
         config = QkdConfig(pair=pair, m=20, l=20, seed=0)
         for seed in range(10):
@@ -439,6 +445,12 @@ class TestCodeFiles:
         path = tmp_path / "bad.code"
         path.write_text("7 1\n10001\n")
         with pytest.raises(ValueError):
+            load_code(path)
+
+    def test_load_rejects_code_past_the_cap(self, tmp_path):
+        path = tmp_path / "wide.code"
+        path.write_text("25 1\n" + "1" * 25 + "\n")
+        with pytest.raises(ValueError, match="wide.code"):
             load_code(path)
 
     def test_load_missing_file(self, tmp_path):

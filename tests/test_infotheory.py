@@ -13,7 +13,6 @@ from pingpong_qkd.infotheory import (
     detection_threshold,
     empirical_mutual_information,
     eve_info_bound,
-    eve_info_measurement,
     helstrom_info,
     security_margin,
 )
@@ -64,10 +63,6 @@ class TestEveInfoBound:
     def test_rejects_above_half(self):
         with pytest.raises(ValueError):
             eve_info_bound(0.51)
-
-    def test_measurement_variant_same_curve(self):
-        for d in np.linspace(0.0, 0.5, 30):
-            assert eve_info_measurement(d) == pytest.approx(eve_info_bound(d), abs=1e-14)
 
 
 class TestBobInfoSymmetric:
@@ -150,7 +145,7 @@ class TestHelstromInfo:
         # detection probability, and matches it only at the endpoints
         for theta in np.linspace(0.0, math.pi / 2, 100):
             concrete = helstrom_info(theta)
-            bound = eve_info_measurement(math.sin(theta / 2) ** 2)
+            bound = eve_info_bound(math.sin(theta / 2) ** 2)
             assert concrete <= bound + 1e-12
             gap = bound - concrete
             at_endpoint = theta < 1e-9 or abs(theta - math.pi / 2) < 1e-9

@@ -196,12 +196,12 @@ class TestRunSession:
         report = run_session(ProtocolConfig(rounds=500, control_prob=1.0, seed=4))
         assert report.n_message == 0
         assert report.i_ab_hat is None
-        assert report.bob_error_rate == 0.0
+        assert report.bob_error_rate is None
 
     def test_message_only_session(self):
         report = run_session(ProtocolConfig(rounds=500, control_prob=0.0, seed=5))
         assert report.n_control == 0
-        assert report.detection_rate == 0.0
+        assert report.detection_rate is None
 
     def test_theory_attached(self):
         report = run_session(
