@@ -10,7 +10,8 @@ channel errors are absorbed by syndrome decoding with C1.
 
 Codes are row-space objects over GF(2).  Words and codes are immutable
 and hashable; derived matrices (parity checks, syndrome tables, coset
-solvers) are cached per code object.
+label maps) are cached per code object, and every row reduction goes
+through ``_gf2_eliminate``.
 """
 
 from __future__ import annotations
@@ -92,11 +93,14 @@ class BinaryCode:
             raise ValueError(f"expected {self.k} generators, got {len(self.generators)}")
         if any(len(g) != self.n for g in self.generators):
             raise ValueError("generator length differs from block length")
-        if _gf2_rank(np.array([g.bits for g in self.generators], dtype=np.uint8)) != self.k:
+        rows = np.array([g.bits for g in self.generators], dtype=np.uint8)
+        if len(_gf2_eliminate(rows)[1]) != self.k:
             raise ValueError("generators are linearly dependent over GF(2)")
 
     @classmethod
     def from_rows(cls, rows: list[str] | tuple[str, ...]) -> "BinaryCode":
+        if not rows:
+            raise ValueError("a code needs at least one generator row")
         words = tuple(BinaryWord.from_string(r) for r in rows)
         return cls(n=len(words[0]), k=len(words), generators=words)
 
@@ -125,12 +129,6 @@ def _gf2_eliminate(matrix: np.ndarray) -> tuple[np.ndarray, list[int]]:
     return m[:r], pivots
 
 
-def _gf2_rank(matrix: np.ndarray) -> int:
-    if matrix.size == 0:
-        return 0
-    return len(_gf2_eliminate(matrix)[1])
-
-
 @lru_cache(maxsize=None)
 def _generator_matrix(code: BinaryCode) -> np.ndarray:
     g = np.array([w.bits for w in code.generators], dtype=np.uint8)
@@ -139,28 +137,26 @@ def _generator_matrix(code: BinaryCode) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _code_rref(code: BinaryCode) -> tuple[np.ndarray, tuple[int, ...]]:
-    rref, pivots = _gf2_eliminate(_generator_matrix(code))
-    rref.flags.writeable = False
-    return rref, tuple(pivots)
-
-
-@lru_cache(maxsize=None)
 def _parity_check(code: BinaryCode) -> np.ndarray:
-    """Basis of the dual space, as rows h with G h^T = 0."""
-    rref, pivots = _code_rref(code)
-    pivot_set = set(pivots)
-    free_cols = [c for c in range(code.n) if c not in pivot_set]
-    rows = []
-    for f in free_cols:
-        h = np.zeros(code.n, dtype=np.uint8)
-        h[f] = 1
-        for i, p in enumerate(pivots):
-            h[p] = rref[i, f]
-        rows.append(h)
-    check = np.array(rows, dtype=np.uint8).reshape(len(rows), code.n)
+    """Basis of the dual space, as rows h with G h^T = 0.
+
+    With G reduced to [I | A] on its pivot columns, H is [A^T | I]:
+    one row per free column.
+    """
+    rref, pivots = _gf2_eliminate(_generator_matrix(code))
+    free = [c for c in range(code.n) if c not in pivots]
+    check = np.zeros((len(free), code.n), dtype=np.uint8)
+    check[:, free] = np.eye(len(free), dtype=np.uint8)
+    check[:, pivots] = rref[:, free].T
     check.flags.writeable = False
     return check
+
+
+def _span(g: np.ndarray, start: int, stop: int) -> np.ndarray:
+    """Codewords of messages start..stop-1, message bit i selecting row i of g."""
+    msgs = np.arange(start, stop, dtype=np.uint32)
+    bits = ((msgs[:, None] >> np.arange(g.shape[0], dtype=np.uint32)) & 1).astype(np.uint8)
+    return (bits @ g) & 1
 
 
 def encode(code: BinaryCode, message: BinaryWord) -> BinaryWord:
@@ -175,10 +171,7 @@ def contains(code: BinaryCode, word: BinaryWord) -> bool:
     """True iff the word lies in the code's row space over GF(2)."""
     if len(word) != code.n:
         raise ValueError(f"word length {len(word)} differs from block length {code.n}")
-    check = _parity_check(code)
-    if check.shape[0] == 0:
-        return True
-    return not ((check @ _word_array(word)) & 1).any()
+    return not ((_parity_check(code) @ _word_array(word)) & 1).any()
 
 
 def min_distance(code: BinaryCode) -> int:
@@ -186,20 +179,16 @@ def min_distance(code: BinaryCode) -> int:
     if code.n > MAX_CODE_BITS:
         raise ValueError(f"block length {code.n} exceeds the {MAX_CODE_BITS}-bit enumeration cap")
     g = _generator_matrix(code)
-    best = code.n
     total = 1 << code.k
-    shifts = np.arange(code.k, dtype=np.uint32)
     chunk = 1 << 16
-    for start in range(1, total, chunk):
-        msgs = np.arange(start, min(start + chunk, total), dtype=np.uint32)
-        bits = ((msgs[:, None] >> shifts) & 1).astype(np.uint8)
-        weights = ((bits @ g) & 1).sum(axis=1)
-        best = min(best, int(weights.min()))
-    return best
+    return min(
+        int(_span(g, start, min(start + chunk, total)).sum(axis=1).min())
+        for start in range(1, total, chunk)
+    )
 
 
 @lru_cache(maxsize=None)
-def _syndrome_table(code: BinaryCode) -> tuple[dict[bytes, np.ndarray], int]:
+def _syndrome_table(code: BinaryCode) -> dict[bytes, np.ndarray]:
     """Coset-leader table for all error patterns the code can correct.
 
     Maps syndrome bytes to the minimum-weight error with that syndrome,
@@ -218,7 +207,7 @@ def _syndrome_table(code: BinaryCode) -> tuple[dict[bytes, np.ndarray], int]:
             if syndrome not in table:
                 err.flags.writeable = False
                 table[syndrome] = err
-    return table, radius
+    return table
 
 
 def syndrome_decode(c1: BinaryCode, word: BinaryWord) -> BinaryWord | None:
@@ -229,10 +218,9 @@ def syndrome_decode(c1: BinaryCode, word: BinaryWord) -> BinaryWord | None:
     """
     if len(word) != c1.n:
         raise ValueError(f"word length {len(word)} differs from block length {c1.n}")
-    table, _ = _syndrome_table(c1)
     w = _word_array(word)
     syndrome = ((_parity_check(c1) @ w) & 1).tobytes()
-    err = table.get(syndrome)
+    err = _syndrome_table(c1).get(syndrome)
     if err is None:
         return None
     return _array_word(w ^ err)
@@ -262,50 +250,24 @@ class NestedCodePair:
 
 
 @lru_cache(maxsize=None)
-def _coset_solver(pair: NestedCodePair) -> tuple[np.ndarray, np.ndarray, tuple[int, ...]]:
-    """Full-rank basis of GF(2)^n starting with C2 rows, then C1, then units.
+def _label_map(pair: NestedCodePair) -> np.ndarray:
+    """The n x (k1 - k2) matrix L whose product (w @ L) & 1 labels any word w.
 
-    Returns (rref, transform, pivots) with rref = transform @ basis, so
-    any word's coordinates in the basis come from reducing against rref
-    and mapping the used rows back through the transform.  Coordinates
-    k2..k1-1 are the coset label.
+    The first independent rows of C2, then C1, then the unit vectors
+    (the pivot columns of the stack's transpose) form a basis B of
+    GF(2)^n whose rows k2..k1-1 complete C2 to C1.  Coordinates in B are w @ B^-1, and L keeps columns k2..k1-1 of
+    B^-1.  On C1 that is the coset label.  The unit vectors complete
+    the basis because a failed decode still needs a key-length label
+    for its uncorrected word, which may lie outside C1.
     """
     n = pair.c1.n
-    rows: list[np.ndarray] = [_word_array(g) for g in pair.c2.generators]
-    candidates = [_word_array(g) for g in pair.c1.generators]
-    candidates += [np.eye(n, dtype=np.uint8)[i] for i in range(n)]
-    for cand in candidates:
-        if _gf2_rank(np.array(rows + [cand], dtype=np.uint8)) > len(rows):
-            rows.append(cand)
-        if len(rows) == n:
-            break
-    basis = np.array(rows, dtype=np.uint8)
-    aug = np.concatenate([basis, np.eye(n, dtype=np.uint8)], axis=1)
-    reduced, pivots = _gf2_eliminate(aug)
-    # the basis is full rank, so the left block has n pivots
-    left_pivots = tuple(p for p in pivots if p < n)
-    rref = reduced[:, :n].copy()
-    transform = reduced[:, n:].copy()
-    rref.flags.writeable = False
-    transform.flags.writeable = False
-    return rref, transform, left_pivots
-
-
-def _coset_window(pair: NestedCodePair, word: BinaryWord) -> BinaryWord:
-    # coordinates k2..k1-1 of any word in the solver's basis; on members
-    # of C1 this is the coset label, and a failed decode still needs a
-    # key-length output from its uncorrected word
-    rref, transform, pivots = _coset_solver(pair)
-    residual = _word_array(word)
-    used = np.zeros(rref.shape[0], dtype=np.uint8)
-    for i, p in enumerate(pivots):
-        if residual[p]:
-            residual = residual ^ rref[i]
-            used[i] = 1
-    if residual.any():
-        raise RuntimeError("full-rank basis failed to span the word")
-    coords = (used @ transform) & 1
-    return _array_word(coords[pair.c2.k : pair.c1.k])
+    eye = np.eye(n, dtype=np.uint8)
+    stack = np.concatenate([_generator_matrix(pair.c2), _generator_matrix(pair.c1), eye])
+    basis = stack[_gf2_eliminate(stack.T)[1]]
+    inverse = _gf2_eliminate(np.concatenate([basis, eye], axis=1))[0][:, n:]
+    labels = inverse[:, pair.c2.k : pair.c1.k].copy()
+    labels.flags.writeable = False
+    return labels
 
 
 def coset_key(pair: NestedCodePair, v: BinaryWord) -> BinaryWord:
@@ -316,7 +278,7 @@ def coset_key(pair: NestedCodePair, v: BinaryWord) -> BinaryWord:
     """
     if not contains(pair.c1, v):
         raise ValueError(f"word {v} is not a codeword of the outer code")
-    return _coset_window(pair, v)
+    return _array_word(_word_array(v) @ _label_map(pair))
 
 
 def codeword_superposition(pair: NestedCodePair, x: BinaryWord) -> PureState:
@@ -330,11 +292,7 @@ def codeword_superposition(pair: NestedCodePair, x: BinaryWord) -> PureState:
         raise ValueError(f"block length {n} exceeds the {MAX_QUBITS}-qubit register cap")
     if not contains(pair.c1, x):
         raise ValueError(f"word {x} is not a codeword of the outer code")
-    g2 = _generator_matrix(pair.c2)
-    k2 = pair.c2.k
-    msgs = np.arange(1 << k2, dtype=np.uint32)
-    bits = ((msgs[:, None] >> np.arange(k2, dtype=np.uint32)) & 1).astype(np.uint8)
-    members = (bits @ g2 & 1) ^ _word_array(x)
+    members = _span(_generator_matrix(pair.c2), 0, 1 << pair.c2.k) ^ _word_array(x)
     place = (1 << np.arange(n - 1, -1, -1)).astype(np.int64)
     indices = members.astype(np.int64) @ place
     amps = np.zeros(1 << n, dtype=np.complex128)
@@ -450,8 +408,8 @@ def run_qkd_block(
     adversarial return-leg errors for error-correction tests.
 
     A failed syndrome decode is not an abort: it increments
-    ``decode_failures`` and the uncorrected word's coset window is used,
-    so the mismatch shows up in agreement statistics.
+    ``decode_failures`` and the uncorrected word's label is used, so the
+    mismatch shows up in agreement statistics.
     """
     eve, noise = config.eve, config.noise
     pair = config.pair
@@ -497,7 +455,7 @@ def run_qkd_block(
     v_hat = syndrome_decode(pair.c1, w)
     return Completed(
         alice_key=coset_key(pair, v),
-        bob_key=_coset_window(pair, w if v_hat is None else v_hat),
+        bob_key=_array_word(_word_array(w if v_hat is None else v_hat) @ _label_map(pair)),
         decode_failures=int(v_hat is None),
     )
 
@@ -572,6 +530,8 @@ def load_code(path: str | Path) -> BinaryCode:
         raise ValueError(
             f"code file {path}: block length {n} exceeds the {MAX_CODE_BITS}-bit cap"
         )
+    if k < 1:
+        raise ValueError(f"code file {path}: dimension {k} must be at least 1")
     rows = lines[1:]
     if len(rows) != k:
         raise ValueError(f"code file {path}: expected {k} generator rows, found {len(rows)}")

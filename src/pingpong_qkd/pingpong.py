@@ -44,6 +44,7 @@ from .attacks import (
     MeasureResend,
     NoEve,
     SymmetricEntangle,
+    detection_probability_measurement,
     intercept_resend,
     omega_state,
     return_discrimination_basis,
@@ -265,7 +266,7 @@ def expected_report(config: ProtocolConfig) -> TheoryRates | None:
         return None
     if isinstance(eve, MeasureResend):
         return TheoryRates(
-            detection_rate=float(np.sin(0.5 * eve.theta) ** 2),
+            detection_rate=detection_probability_measurement(eve.theta),
             bob_error_rate=0.5,
         )
     if isinstance(eve, SymmetricEntangle):

@@ -234,21 +234,20 @@ def measure_in_basis(
     return outcome, _trusted_state(collapsed.reshape(1 << n), n)
 
 
+def _bell_weights(state: TwoQubitState) -> np.ndarray:
+    _require_two_qubits(state)
+    return np.abs(_BELL_MATRIX @ state.amps) ** 2
+
+
 def bell_probabilities(state: TwoQubitState) -> dict[BellOutcome, float]:
     """Born-rule weight of each Bell state in a two-qubit register."""
-    _require_two_qubits(state)
-    probs = np.abs(_BELL_MATRIX @ state.amps) ** 2
+    probs = _bell_weights(state)
     return {kind: float(probs[kind.value]) for kind in BELL_ORDER}
-
-
-def _bell_probs_vector(state: TwoQubitState) -> np.ndarray:
-    return np.abs(_BELL_MATRIX @ state.amps) ** 2
 
 
 def bell_measure(state: TwoQubitState, rng: np.random.Generator) -> BellOutcome:
     """Sample a full Bell-basis measurement of a two-qubit register."""
-    _require_two_qubits(state)
-    probs = _bell_probs_vector(state)
+    probs = _bell_weights(state)
     r = rng.random()
     acc = 0.0
     for kind in BELL_ORDER:

@@ -259,6 +259,12 @@ class TestQkdCommand:
         assert str(c1) in err
         assert "exceeds the 24-bit cap" in err
 
+    def test_zero_dimension_code_rejected(self, tmp_path, capsys):
+        zero = tmp_path / "zero.code"
+        zero.write_text("7 0\n")
+        assert run_cli("qkd", "--c1", str(zero), "--blocks", "1") == 2
+        assert "zero.code" in capsys.readouterr().err
+
     def test_nested_violation(self, tmp_path, capsys):
         rogue = tmp_path / "rogue.code"
         rogue.write_text("7 3\n1000000\n0100000\n0010000\n")
@@ -310,6 +316,12 @@ class TestCssCommand:
     def test_coset_of_outer_representative(self, capsys):
         assert run_cli("css", "coset", HAMMING, DUAL, "1000110") == 0
         assert capsys.readouterr().out.strip() in {"0", "1"}
+
+    def test_info_rejects_zero_dimension_code(self, tmp_path, capsys):
+        zero = tmp_path / "zero.code"
+        zero.write_text("7 0\n")
+        assert run_cli("css", "info", str(zero)) == 2
+        assert "zero.code" in capsys.readouterr().err
 
     def test_info_rejects_three_files(self, capsys):
         assert run_cli("css", "info", HAMMING, DUAL, HAMMING) == 2

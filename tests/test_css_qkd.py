@@ -56,6 +56,25 @@ def all_codewords(code):
     return words
 
 
+def reed_muller_rows(order):
+    """Rows of RM(order, 4): each monomial of degree <= order in x1..x4,
+    evaluated at the 16 points of GF(2)^4 in lexicographic order."""
+    points = list(itertools.product((0, 1), repeat=4))
+    return [
+        "".join(str(int(all(p[i] for i in monomial))) for p in points)
+        for degree in range(order + 1)
+        for monomial in itertools.combinations(range(4), degree)
+    ]
+
+
+@pytest.fixture(scope="module")
+def rm_pair():
+    return NestedCodePair(
+        c1=BinaryCode.from_rows(reed_muller_rows(2)),
+        c2=BinaryCode.from_rows(reed_muller_rows(1)),
+    )
+
+
 class TestBinaryWord:
     def test_from_string_round_trip(self):
         word = BinaryWord.from_string("0101101")
@@ -92,6 +111,18 @@ class TestBinaryCode:
     def test_rejects_dependent_rows(self):
         with pytest.raises(ValueError):
             BinaryCode.from_rows(["1100", "0110", "1010"])
+
+    def test_rejects_no_rows(self):
+        with pytest.raises(ValueError, match="at least one generator"):
+            BinaryCode.from_rows([])
+
+    def test_full_space_contains_every_word(self):
+        full = BinaryCode.from_rows(["100", "010", "001"])
+        assert min_distance(full) == 1
+        for value in range(8):
+            word = BinaryWord.from_string(format(value, "03b"))
+            assert contains(full, word)
+            assert syndrome_decode(full, word) == word
 
     def test_decoder_refuses_oversized_block(self):
         # construction is fine; only the enumerating decoder is capped
@@ -217,6 +248,67 @@ class TestCosetKey:
     def test_rejects_non_member(self, pair):
         with pytest.raises(ValueError):
             coset_key(pair, BinaryWord.from_string("1000000"))
+
+
+class TestReedMullerPair:
+    """RM(1,4) inside RM(2,4): [16,5,8] in [16,11,4], 6 key bits."""
+
+    def test_dimensions_and_distances(self, rm_pair):
+        assert (rm_pair.c1.n, rm_pair.c1.k, rm_pair.c2.k) == (16, 11, 5)
+        assert rm_pair.key_length == 6
+        assert min_distance(rm_pair.c2) == 8
+        assert min_distance(rm_pair.c1) == 4
+
+    def test_labels_split_outer_code_into_inner_cosets(self, rm_pair):
+        classes = {}
+        for word in all_codewords(rm_pair.c1):
+            classes.setdefault(str(coset_key(rm_pair, word)), []).append(word)
+        assert len(classes) == 64
+        assert all(len(members) == 32 for members in classes.values())
+        # 32 words with one label, all in the coset of the first one:
+        # each label class is exactly one coset of RM(1,4)
+        for members in classes.values():
+            assert all(contains(rm_pair.c2, members[0] ^ w) for w in members)
+        assert str(coset_key(rm_pair, BinaryWord.zero(16))) == "000000"
+
+    def test_decoder_matches_nearest_codeword_oracle(self, rm_pair):
+        c1 = rm_pair.c1
+        codewords = all_codewords(c1)
+        table = np.array([w.bits for w in codewords], dtype=np.uint8)
+        rng = np.random.default_rng(4)
+        sampled = [codewords[i] for i in rng.choice(len(codewords), size=40, replace=False)]
+        probes = []
+        for word in sampled:
+            for pos in range(16):
+                flipped = word ^ BinaryWord(tuple(int(i == pos) for i in range(16)))
+                assert syndrome_decode(c1, flipped) == word
+                probes.append(flipped)
+        probes += [BinaryWord(tuple(int(b) for b in rng.integers(0, 2, 16))) for _ in range(200)]
+        for word in probes:
+            distances = (table ^ np.array(word.bits, dtype=np.uint8)).sum(axis=1)
+            nearest = np.flatnonzero(distances == distances.min())
+            decoded = syndrome_decode(c1, word)
+            if distances.min() <= 1:
+                assert len(nearest) == 1
+                assert decoded == codewords[nearest[0]]
+            else:
+                assert decoded is None
+
+    @pytest.mark.parametrize(
+        "word, key",
+        [
+            # recorded with the earlier basis-walk solver: they pin which
+            # label each coset gets, not only that labels separate cosets
+            ("0001000100010001", "000001"),
+            ("0000000000001111", "100000"),
+            ("0001011101110001", "011111"),
+            ("1011011110000100", "010101"),
+            ("1000000100010111", "111111"),
+            ("0001011101111110", "111111"),
+        ],
+    )
+    def test_recorded_keys(self, rm_pair, word, key):
+        assert str(coset_key(rm_pair, BinaryWord.from_string(word))) == key
 
 
 class TestCodewordSuperposition:
@@ -445,6 +537,12 @@ class TestCodeFiles:
         path = tmp_path / "bad.code"
         path.write_text("7 1\n10001\n")
         with pytest.raises(ValueError):
+            load_code(path)
+
+    def test_load_rejects_zero_dimension(self, tmp_path):
+        path = tmp_path / "zero.code"
+        path.write_text("7 0\n")
+        with pytest.raises(ValueError, match="zero.code"):
             load_code(path)
 
     def test_load_rejects_code_past_the_cap(self, tmp_path):
