@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .attacks import EveStrategy, NoEve
-from .pingpong import DECODE_MAP, control_check, return_leg, send_leg
+from .pingpong import control_stage, return_stage, send_stage
 from .quantum_core import MAX_QUBITS, NoiseModel, NoNoise, PureState, _trusted_state
 
 # exhaustive enumeration and syndrome tables are capped at this length
@@ -319,13 +319,21 @@ class PositionLabeling:
         return tuple(i for i, lab in enumerate(self.labels) if lab is kind)
 
 
-def assign_positions(n: int, m: int, l: int, rng: np.random.Generator) -> PositionLabeling:
-    """Uniformly random labeling with exactly n Message, m Control, l Decoy."""
+# the position kinds in the order of their integer codes
+_KINDS = (PositionKind.MESSAGE, PositionKind.CONTROL, PositionKind.DECOY)
+_MESSAGE, _CONTROL, _DECOY = range(3)
+
+
+def _position_kinds(n: int, m: int, l: int, rng: np.random.Generator) -> np.ndarray:
+    """The integer code in ``_KINDS`` of each position of a labeling."""
     if n < 1 or m < 1 or l < 1:
         raise ValueError(f"all position counts must be positive, got {(n, m, l)!r}")
-    pool = [PositionKind.MESSAGE] * n + [PositionKind.CONTROL] * m + [PositionKind.DECOY] * l
-    order = rng.permutation(n + m + l)
-    return PositionLabeling(labels=tuple(pool[i] for i in order))
+    return np.repeat(np.arange(3), (n, m, l))[rng.permutation(n + m + l)]
+
+
+def assign_positions(n: int, m: int, l: int, rng: np.random.Generator) -> PositionLabeling:
+    """Uniformly random labeling with exactly n Message, m Control, l Decoy."""
+    return PositionLabeling(labels=tuple(_KINDS[k] for k in _position_kinds(n, m, l, rng)))
 
 
 @dataclass(frozen=True)
@@ -399,8 +407,11 @@ def run_qkd_block(
     positions and abort past t coincidences; return the Message
     positions encoding x and the Decoys encoding 0; abort past t' decoy
     ones; finally Bob corrects r XOR (x XOR v) with the outer code and
-    both sides take the coset label as the key.  The legs and their
-    draw order are those of a session round, as set out in the
+    both sides take the coset label as the key.  The block's n + m + l
+    pairs are one (n + m + l, 4) array that passes through
+    ``pingpong.send_stage``, ``control_stage`` (the control rows) and
+    ``return_stage`` (the message and decoy rows), the whole-array forms
+    of a session round's legs.  The draw order is set out in the
     ``pingpong`` module docstring.
 
     ``inject_message_flips`` flips that many of Bob's decoded message
@@ -417,35 +428,31 @@ def run_qkd_block(
     if not 0 <= inject_message_flips <= n:
         raise ValueError(f"cannot flip {inject_message_flips!r} of {n} message bits")
 
-    labeling = assign_positions(n, config.m, config.l, rng)
+    kinds = _position_kinds(n, config.m, config.l, rng)
     x = rng.integers(0, 2, size=n, dtype=np.uint8)
     v_message = _array_word(rng.integers(0, 2, size=pair.c1.k, dtype=np.uint8))
     v = encode(pair.c1, v_message)
 
-    legs = [send_leg(eve, noise, rng) for _ in labeling.labels]
+    states, intercept = send_stage(kinds.size, eve, noise, rng)
 
-    coincidences = sum(
-        control_check(legs[pos][1], rng) for pos in labeling.positions(PositionKind.CONTROL)
-    )
+    control = kinds == _CONTROL
+    coincidences = int(control_stage(states[control], rng).sum())
     if coincidences > config.t:
         return AbortedControl(coincidences)
 
-    message_positions = labeling.positions(PositionKind.MESSAGE)
-    decoy_positions = labeling.positions(PositionKind.DECOY)
-    encoded = {pos: int(x[j]) for j, pos in enumerate(message_positions)}
-    encoded.update({pos: 0 for pos in decoy_positions})
+    returned = ~control
+    sent = np.zeros(kinds.size, dtype=np.uint8)
+    sent[kinds == _MESSAGE] = x
+    decoded = return_stage(
+        states[returned], sent[returned], intercept[returned], eve, noise, rng
+    )
 
-    decoded: dict[int, int] = {}
-    for pos in sorted(encoded):
-        record, joint = legs[pos]
-        outcome, _ = return_leg(joint, encoded[pos], record, eve, noise, rng)
-        decoded[pos] = DECODE_MAP[outcome]
-
-    decoy_ones = sum(decoded[pos] for pos in decoy_positions)
+    returned_kinds = kinds[returned]
+    decoy_ones = int(decoded[returned_kinds == _DECOY].sum())
     if decoy_ones > config.t_prime:
         return AbortedDecoy(decoy_ones)
 
-    r = np.array([decoded[pos] for pos in message_positions], dtype=np.uint8)
+    r = decoded[returned_kinds == _MESSAGE]
     if inject_message_flips:
         flips = rng.choice(n, size=inject_message_flips, replace=False)
         r[flips] ^= 1
@@ -538,7 +545,10 @@ def load_code(path: str | Path) -> BinaryCode:
     for row in rows:
         if len(row) != n or set(row) - {"0", "1"}:
             raise ValueError(f"code file {path}: bad generator row {row!r}")
-    return BinaryCode.from_rows(rows)
+    try:
+        return BinaryCode.from_rows(rows)
+    except ValueError as err:
+        raise ValueError(f"code file {path}: {err}") from None
 
 
 def bundled_code_path(name: str) -> Path:

@@ -11,16 +11,24 @@ measurement.
 
 Channel noise acts once per transit leg, before the eavesdropper on the
 outgoing leg and before Bob's measurement on the return leg.  The round
-is built from three legs, shared with the coded protocol in ``css_qkd``:
-``send_leg``, ``control_check`` and ``return_leg``.  Every random draw
-comes from one Generator, in this fixed order, so a run is bit-for-bit
-reproducible from its seed:
+is built from three legs: ``send_leg``, ``control_check`` and
+``return_leg``.  The coded protocol in ``css_qkd`` runs the same legs
+on a whole block of pairs at once, as ``send_stage``, ``control_stage``
+and ``return_stage``.  Every random draw comes from one Generator, in
+this fixed order, so a run is bit-for-bit reproducible from its seed:
 
-* ``send_leg``: outgoing noise, then the eavesdropper's interception.
+* ``send_leg``: outgoing noise (one uniform, none under ``NoNoise``;
+  drawn under the entangling attack too, although the substitution
+  discards the noisy pair), then the eavesdropper's interception.
 * ``control_check``: Alice's measurement, then Bob's.
-* ``return_leg``: return noise, the eavesdropper's discrimination (a
-  fair coin when the two possible returns coincide, at theta = 0), then
-  Bob's Bell measurement.
+* ``return_leg``: return noise, the eavesdropper's discrimination (at
+  theta = 0, where the two possible returns coincide, a fair coin
+  ``rng.random() < 0.5``), then Bob's Bell measurement.
+
+Each of these draws is one ``rng.random()`` uniform.  The other draws
+are a session round's mode (a uniform) and message bit
+(``rng.integers(2)``), and a coded block's labeling, string and
+codeword.
 
 A session round draws ``send_leg``, then the mode, then either
 ``control_check`` or the message bit and ``return_leg``.  A coded block
@@ -28,6 +36,13 @@ A session round draws ``send_leg``, then the mode, then either
 and codeword, then ``send_leg`` for every position in order,
 ``control_check`` for the control positions in ascending order, and
 ``return_leg`` for the message and decoy positions in ascending order.
+Each stage draws those uniforms in one ``rng.random((rows, k))`` call,
+k being the fixed number of draws per pair, which yields the same
+doubles in the same order as rows * k single calls.
+
+Before the stages, the theta = 0 coin was ``rng.integers(2)``, so
+seeded runs under ``MeasureResend(0)`` differ from earlier versions; no
+other seeded run changed.
 """
 
 from __future__ import annotations
@@ -47,10 +62,14 @@ from .attacks import (
     detection_probability_measurement,
     intercept_resend,
     omega_state,
+    resend_state,
     return_discrimination_basis,
 )
 from .quantum_core import (
+    BELL_ORDER,
     HOME,
+    PAULI_I,
+    PAULI_Z,
     TRAVEL,
     BellOutcome,
     BitFlip,
@@ -61,10 +80,15 @@ from .quantum_core import (
     TwoQubitState,
     apply_noise,
     apply_pauli_z,
+    apply_paulis,
     bell_measure,
+    bell_sample_rows,
     bell_state,
     measure_computational,
     measure_in_basis,
+    measure_rows,
+    measure_rows_in_basis,
+    noise_paulis,
 )
 from .infotheory import JointCounts2x2, empirical_mutual_information
 
@@ -77,6 +101,7 @@ DECODE_MAP: dict[BellOutcome, int] = {
     BellOutcome.PHI_PLUS: 1,
     BellOutcome.PHI_MINUS: 0,
 }
+_DECODE_BITS = np.array([DECODE_MAP[kind] for kind in BELL_ORDER], dtype=np.uint8)
 
 
 # the record of a round in which the eavesdropper learned nothing;
@@ -154,6 +179,18 @@ class SessionReport:
     theory: TheoryRates | None
 
 
+def _require_simulable(eve: EveStrategy) -> None:
+    if isinstance(eve, GenericAncilla):
+        raise ValueError(
+            "the generic ancilla strategy fixes only its amplitude split "
+            "and cannot be simulated round by round"
+        )
+
+
+def _noise_draws(noise: NoiseModel) -> int:
+    return 0 if isinstance(noise, NoNoise) else 1
+
+
 def send_leg(
     eve: EveStrategy, noise: NoiseModel, rng: np.random.Generator
 ) -> tuple[EveRecord, TwoQubitState]:
@@ -161,17 +198,14 @@ def send_leg(
 
     Returns the eavesdropper's record and the pair as it reaches Alice.
     """
-    if isinstance(eve, GenericAncilla):
-        raise ValueError(
-            "the generic ancilla strategy fixes only its amplitude split "
-            "and cannot be simulated round by round"
-        )
+    _require_simulable(eve)
+    if isinstance(eve, SymmetricEntangle):
+        if not isinstance(noise, NoNoise):
+            rng.random()  # the noise draw; the substitution discards the noisy pair
+        return _NO_RECORD, omega_state(eve.alpha)
     joint = apply_noise(bell_state(BellOutcome.PSI_MINUS), noise, TRAVEL, rng)
     if isinstance(eve, MeasureResend):
         return intercept_resend(joint, eve.theta, rng)
-    if isinstance(eve, SymmetricEntangle):
-        # the substitution discards the incoming pair entirely
-        return _NO_RECORD, omega_state(eve.alpha)
     return _NO_RECORD, joint
 
 
@@ -201,11 +235,73 @@ def return_leg(
     if isinstance(eve, MeasureResend):
         basis = return_discrimination_basis(eve.theta, record.intercept_bit)
         if basis is None:
-            guess = int(rng.integers(2))
+            guess = int(rng.random() < 0.5)
         else:
             guess, joint = measure_in_basis(joint, TRAVEL, basis, rng)
         record = EveRecord(record.intercept_bit, guess)
     return bell_measure(joint, rng), record
+
+
+def send_stage(
+    rows: int, eve: EveStrategy, noise: NoiseModel, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
+    """``send_leg`` for ``rows`` pairs at once.
+
+    Returns the (rows, 4) pairs as they reach Alice and the
+    eavesdropper's intercept bit for each (0 where she does not
+    intercept).
+    """
+    _require_simulable(eve)
+    intercepting = isinstance(eve, MeasureResend)
+    u = rng.random((rows, _noise_draws(noise) + intercepting))
+    intercept = np.zeros(rows, dtype=np.intp)
+    if isinstance(eve, SymmetricEntangle):
+        # the noise column is drawn, but the substitution discards the pair
+        return np.repeat(omega_state(eve.alpha).amps[None, :], rows, axis=0), intercept
+    states = np.repeat(bell_state(BellOutcome.PSI_MINUS).amps[None, :], rows, axis=0)
+    if not isinstance(noise, NoNoise):
+        states = apply_paulis(states, noise_paulis(noise, u[:, 0]), TRAVEL)
+    if intercepting:
+        intercept, collapsed = measure_rows(states, TRAVEL, u[:, -1])
+        # the collapsed home qubit, times the resent qubit
+        home = collapsed.reshape(rows, 2, 2)[np.arange(rows), :, intercept]
+        resent = np.array([resend_state(eve.theta, bit).amps for bit in (0, 1)])[intercept]
+        states = (home[:, :, None] * resent[:, None, :]).reshape(rows, 4)
+    return states, intercept
+
+
+def control_stage(states: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """``control_check`` for every row: True where the two results coincide."""
+    u = rng.random((states.shape[0], 2))
+    alice, states = measure_rows(states, TRAVEL, u[:, 0])
+    bob, _ = measure_rows(states, HOME, u[:, 1])
+    return alice == bob
+
+
+def return_stage(
+    states: np.ndarray,
+    bits: np.ndarray,
+    intercept: np.ndarray,
+    eve: EveStrategy,
+    noise: NoiseModel,
+    rng: np.random.Generator,
+) -> np.ndarray:
+    """``return_leg`` for every row, encoding ``bits``; returns Bob's decoded bits."""
+    rows = states.shape[0]
+    intercepting = isinstance(eve, MeasureResend)
+    u = rng.random((rows, _noise_draws(noise) + intercepting + 1))
+    states = apply_paulis(states, np.where(bits == 1, PAULI_Z, PAULI_I), TRAVEL)
+    if not isinstance(noise, NoNoise):
+        states = apply_paulis(states, noise_paulis(noise, u[:, 0]), TRAVEL)
+    if intercepting:
+        # without a basis (theta = 0) the column is the coin, which
+        # leaves the pair alone
+        for bit in (0, 1):
+            basis = return_discrimination_basis(eve.theta, bit)
+            hit = intercept == bit
+            if basis is not None and hit.any():
+                _, states[hit] = measure_rows_in_basis(states[hit], TRAVEL, basis, u[hit, -2])
+    return _DECODE_BITS[bell_sample_rows(states, u[:, -1])]
 
 
 def run_round(config: ProtocolConfig, rng: np.random.Generator) -> RoundOutcome:

@@ -8,6 +8,13 @@ state can be shared safely between threads once constructed.
 
 Randomness always comes from an explicit numpy Generator passed by the
 caller, never from module-level state.
+
+The row kernels (``apply_paulis``, ``measure_rows``,
+``measure_rows_in_basis``, ``bell_sample_rows``) act on a (rows, 4)
+complex array holding one two-qubit pair per row, in the same basis
+order.  They take one uniform per row from the caller and compare it
+with the Born weight exactly as the single-state kernels compare their
+own draw, so the same uniforms give the same outcomes.
 """
 
 from __future__ import annotations
@@ -257,6 +264,110 @@ def bell_measure(state: TwoQubitState, rng: np.random.Generator) -> BellOutcome:
     return BELL_ORDER[-1]
 
 
+# Pauli indices for the row kernels
+PAULI_I, PAULI_X, PAULI_Y, PAULI_Z = range(4)
+
+
+@lru_cache(maxsize=None)
+def _pauli_tables(qubit: int) -> tuple[np.ndarray, np.ndarray]:
+    # row g: the index gather and the phase of Pauli g on one qubit of a
+    # pair, as apply_pauli_x/y/z compute them
+    same = np.arange(4)
+    flip = _flip_index(2, qubit)
+    one = _bit_values(2, qubit) == 1
+    perm = np.stack([same, flip, flip, same])
+    phase = np.stack(
+        [np.ones(4), np.ones(4), np.where(one, 1j, -1j), np.where(one, -1.0, 1.0)]
+    ).astype(np.complex128)
+    perm.flags.writeable = False
+    phase.flags.writeable = False
+    return perm, phase
+
+
+def apply_paulis(states: np.ndarray, paulis: np.ndarray, qubit: int) -> np.ndarray:
+    """Apply Pauli ``paulis[r]`` (``PAULI_I`` .. ``PAULI_Z``) to ``qubit`` of row r."""
+    perm, phase = _pauli_tables(qubit)
+    rows = np.arange(states.shape[0])[:, None]
+    return states[rows, perm[paulis]] * phase[paulis]
+
+
+@lru_cache(maxsize=None)
+def _one_columns(qubit: int) -> tuple[np.ndarray, int, int]:
+    # the mask of the indices where the qubit is 1, and those two indices
+    one = _bit_values(2, qubit) == 1
+    one.flags.writeable = False
+    low, high = (int(i) for i in np.flatnonzero(one))
+    return one, low, high
+
+
+def _check_branches(p_outcome: np.ndarray) -> None:
+    if (p_outcome <= 0.0).any():
+        raise RuntimeError("sampled a zero-probability branch")
+
+
+def measure_rows(
+    states: np.ndarray, qubit: int, u: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """``measure_computational`` of ``qubit`` in every row, outcome 1 where u < P(1).
+
+    Returns the outcome bits and the renormalized collapsed rows.
+    """
+    one, low, high = _one_columns(qubit)
+    probs = np.abs(states) ** 2
+    # added in index order, as measure_computational's sum adds them
+    p_one = probs[:, low] + probs[:, high]
+    ones = u < p_one
+    p_outcome = np.where(ones, p_one, 1.0 - p_one)
+    _check_branches(p_outcome)
+    collapsed = np.where(one == ones[:, None], states, 0.0) / np.sqrt(p_outcome)[:, None]
+    return ones.astype(np.intp), collapsed
+
+
+def measure_rows_in_basis(
+    states: np.ndarray,
+    qubit: int,
+    basis: tuple[PureState, PureState],
+    u: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """``measure_in_basis`` of ``qubit`` in every row, all rows in one basis.
+
+    Returns the index of the basis state found in each row and the
+    collapsed rows.
+    """
+    b0, b1 = basis
+    rows = states.shape[0]
+    inner = 1 << (1 - qubit)
+    view = states.reshape(rows, -1, 2, inner)
+    lo, hi = view[:, :, 0, :], view[:, :, 1, :]
+    coeff0 = b0.amps[0].conjugate() * lo + b0.amps[1].conjugate() * hi
+    coeff1 = b1.amps[0].conjugate() * lo + b1.amps[1].conjugate() * hi
+    p_one = (np.abs(coeff1) ** 2).reshape(rows, -1).sum(axis=1)
+    ones = u < p_one
+    p_outcome = np.where(ones, p_one, 1.0 - p_one)
+    _check_branches(p_outcome)
+    found = ones[:, None, None]
+    scaled = np.where(found, coeff1, coeff0) / np.sqrt(p_outcome)[:, None, None]
+    collapsed = np.empty(view.shape, dtype=np.complex128)
+    collapsed[:, :, 0, :] = np.where(found, b1.amps[0], b0.amps[0]) * scaled
+    collapsed[:, :, 1, :] = np.where(found, b1.amps[1], b0.amps[1]) * scaled
+    return ones.astype(np.intp), collapsed.reshape(rows, 4)
+
+
+def bell_sample_rows(states: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Bell outcome of every row, as its index in ``BELL_ORDER``.
+
+    The first outcome whose cumulative weight exceeds u, as in
+    ``bell_measure``.
+    """
+    weights = np.abs(states @ _BELL_MATRIX.T) ** 2
+    acc = weights[:, 0]
+    outcomes = (acc <= u).astype(np.intp)
+    for k in (1, 2):
+        acc = acc + weights[:, k]
+        outcomes += acc <= u
+    return outcomes
+
+
 @dataclass(frozen=True)
 class DensityMatrix2:
     """Validated 2x2 density matrix (Hermitian, unit trace, PSD)."""
@@ -395,4 +506,22 @@ def apply_noise(
         if branch == 1:
             return apply_pauli_y(state, qubit)
         return apply_pauli_z(state, qubit)
+    raise ValueError(f"unknown noise model {model!r}")
+
+
+def noise_paulis(model: NoiseModel, u: np.ndarray) -> np.ndarray:
+    """The Pauli that ``apply_noise`` picks from each uniform in ``u``.
+
+    ``model`` is one of the flip channels; ``NoNoise`` draws nothing.
+    """
+    if isinstance(model, BitFlip):
+        return np.where(u < model.p, PAULI_X, PAULI_I)
+    if isinstance(model, PhaseFlip):
+        return np.where(u < model.p, PAULI_Z, PAULI_I)
+    if isinstance(model, Depolarizing):
+        if model.p == 0.0:  # every uniform keeps the qubit; the branch divides by p
+            return np.full(u.shape, PAULI_I)
+        keep = 1.0 - model.p
+        branch = np.minimum(2, (3.0 * (u - keep) / model.p).astype(np.intp))
+        return np.where(u < keep, PAULI_I, PAULI_X + branch)
     raise ValueError(f"unknown noise model {model!r}")

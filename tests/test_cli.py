@@ -265,6 +265,22 @@ class TestQkdCommand:
         assert run_cli("qkd", "--c1", str(zero), "--blocks", "1") == 2
         assert "zero.code" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "text, reason",
+        [
+            ("3 3\n110\n011\n101\n", "generators are linearly dependent"),
+            ("3 5\n100\n010\n001\n110\n011\n", "dimension 5 invalid for length 3"),
+        ],
+        ids=["dependent-rows", "dimension-above-length"],
+    )
+    def test_invalid_code_names_the_file(self, tmp_path, capsys, text, reason):
+        bad = tmp_path / "bad.code"
+        bad.write_text(text)
+        assert run_cli("qkd", "--c2", str(bad), "--blocks", "1") == 2
+        err = capsys.readouterr().err
+        assert f"code file {bad}: " in err
+        assert reason in err
+
     def test_nested_violation(self, tmp_path, capsys):
         rogue = tmp_path / "rogue.code"
         rogue.write_text("7 3\n1000000\n0100000\n0010000\n")

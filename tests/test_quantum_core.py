@@ -18,14 +18,19 @@ from pingpong_qkd.quantum_core import (
     apply_pauli_x,
     apply_pauli_y,
     apply_pauli_z,
+    apply_paulis,
     bell_measure,
     bell_probabilities,
+    bell_sample_rows,
     bell_state,
     discrimination_basis,
     fidelity,
     helstrom_success,
     measure_computational,
     measure_in_basis,
+    measure_rows,
+    measure_rows_in_basis,
+    noise_paulis,
     prepare_polarized,
     product_state,
     reduced_density_travel,
@@ -461,3 +466,74 @@ class TestNormPreservation:
             for _ in range(15):
                 state = ops[int(rng.integers(len(ops)))](state, rng)
                 assert np.sum(np.abs(state.amps) ** 2) == pytest.approx(1.0, abs=1e-12)
+
+
+class TestRowKernels:
+    # each row kernel against its single-state kernel, which draws the
+    # same uniforms one at a time; amplitudes agree to a few ulps
+    ROWS = 300
+    ATOL = 4 * np.finfo(float).eps
+
+    def pairs(self, seed):
+        rng = np.random.default_rng(seed)
+        states = [random_state(rng) for _ in range(self.ROWS)]
+        return states, np.array([s.amps for s in states])
+
+    def test_apply_paulis_matches_single_paulis(self):
+        states, rows = self.pairs(1)
+        paulis = np.random.default_rng(2).integers(4, size=self.ROWS)
+        ops = (lambda s, q: s, apply_pauli_x, apply_pauli_y, apply_pauli_z)
+        for qubit in (HOME, TRAVEL):
+            out = apply_paulis(rows, paulis, qubit)
+            for state, g, got in zip(states, paulis, out):
+                np.testing.assert_allclose(got, ops[g](state, qubit).amps, rtol=0, atol=self.ATOL)
+
+    @pytest.mark.parametrize(
+        "model",
+        [BitFlip(0.3), PhaseFlip(0.3), Depolarizing(0.0), Depolarizing(0.6), Depolarizing(1.0)],
+        ids=repr,
+    )
+    def test_noise_paulis_match_apply_noise(self, model):
+        states, rows = self.pairs(3)
+        out = apply_paulis(rows, noise_paulis(model, np.random.default_rng(4).random(self.ROWS)), TRAVEL)
+        rng = np.random.default_rng(4)
+        for state, got in zip(states, out):
+            expected = apply_noise(state, model, TRAVEL, rng).amps
+            np.testing.assert_allclose(got, expected, rtol=0, atol=self.ATOL)
+
+    @pytest.mark.parametrize("qubit", [HOME, TRAVEL])
+    def test_measure_rows_matches_measure_computational(self, qubit):
+        states, rows = self.pairs(5)
+        outcomes, collapsed = measure_rows(rows, qubit, np.random.default_rng(6).random(self.ROWS))
+        rng = np.random.default_rng(6)
+        for state, bit, got in zip(states, outcomes, collapsed):
+            expected_bit, expected = measure_computational(state, qubit, rng)
+            assert bit == expected_bit
+            np.testing.assert_allclose(got, expected.amps, rtol=0, atol=self.ATOL)
+
+    @pytest.mark.parametrize("qubit", [HOME, TRAVEL])
+    def test_measure_rows_in_basis_matches_measure_in_basis(self, qubit):
+        states, rows = self.pairs(7)
+        basis = discrimination_basis(prepare_polarized(0.7), prepare_polarized(2.1))
+        u = np.random.default_rng(8).random(self.ROWS)
+        outcomes, collapsed = measure_rows_in_basis(rows, qubit, basis, u)
+        rng = np.random.default_rng(8)
+        for state, found, got in zip(states, outcomes, collapsed):
+            expected_found, expected = measure_in_basis(state, qubit, basis, rng)
+            assert found == expected_found
+            np.testing.assert_allclose(got, expected.amps, rtol=0, atol=self.ATOL)
+
+    def test_bell_sample_rows_matches_bell_measure(self):
+        states, rows = self.pairs(9)
+        outcomes = bell_sample_rows(rows, np.random.default_rng(10).random(self.ROWS))
+        rng = np.random.default_rng(10)
+        assert [BELL_ORDER[k] for k in outcomes] == [bell_measure(s, rng) for s in states]
+
+    def test_zero_probability_branch_raises(self):
+        # a uniform of 1.0 selects outcome 0 of a travel qubit that is surely 1
+        rows = np.array([[0.0, 1.0, 0.0, 0.0]], dtype=complex)
+        with pytest.raises(RuntimeError, match="zero-probability"):
+            measure_rows(rows, TRAVEL, np.array([1.0]))
+        basis = (prepare_polarized(0.0), prepare_polarized(np.pi))
+        with pytest.raises(RuntimeError, match="zero-probability"):
+            measure_rows_in_basis(rows, TRAVEL, basis, np.array([1.0]))
