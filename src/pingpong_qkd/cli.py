@@ -17,9 +17,13 @@ with 6 decimals; machine artifacts go only to --out paths.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
+from collections.abc import Callable
+from functools import partial
 from pathlib import Path
+from typing import Any
 
 import numpy as np
 
@@ -27,6 +31,9 @@ from . import attacks, css_qkd, infotheory, pingpong
 from .quantum_core import BitFlip, Depolarizing, NoiseModel, NoNoise, PhaseFlip
 
 SCHEMA_VERSION = 1
+
+# curve rows per CSV; 10**6 rows is about 40 MB of CSV
+MAX_STEPS = 10**6
 
 
 def _resolve_code(path: str) -> css_qkd.BinaryCode:
@@ -102,38 +109,127 @@ def format_strategy(strategy: attacks.EveStrategy) -> str:
     return _format_spec(strategy, _ATTACK_SPECS, attacks.NoEve())
 
 
-def _read_config_file(path: str) -> dict[str, str]:
-    entries: dict[str, str] = {}
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
+@dataclasses.dataclass(frozen=True)
+class Option:
+    """One option of the ``pingpong`` or ``qkd`` command, written once.
+
+    ``key`` is the ``--key`` flag and the config-file key.  ``parse`` reads
+    either, or ``default`` (None: the command works it out, as ``help`` says).
+    ``field`` is the config field it sets (``dest`` unless given; None: none),
+    and ``show`` formats it, read back off the built config, for the JSON echo.
+    """
+
+    key: str
+    parse: Callable[[str], Any]
+    default: Any
+    help: str
+    field: str | None = ""
+    show: Callable[[Any], Any] = lambda value: value
+
+    def __post_init__(self) -> None:
+        if self.field == "":
+            object.__setattr__(self, "field", self.dest)
+
+    @property
+    def dest(self) -> str:
+        """The argparse attribute and the JSON echo key."""
+        return self.key.replace("-", "_")
+
+
+# the options both commands take, with the same meaning
+_SESSION_OPTIONS = (
+    Option("eve", parse_strategy, "none",
+           "attack spec: none, measure:theta=, entangle:alpha=", show=format_strategy),
+    Option("noise", parse_noise, "none",
+           "noise spec: none, bitflip:p=, phaseflip:p=, depolarizing:p=", show=format_noise),
+    Option("seed", int, 0, "session seed"),
+    Option("out", str, None, "JSON report path", field=None),
+)
+
+PINGPONG_OPTIONS = (
+    Option("rounds", int, 10000, "number of rounds"),
+    Option("control-prob", float, 0.5, "per-round control probability"),
+    *_SESSION_OPTIONS,
+)
+
+QKD_OPTIONS = (
+    Option("c1", str, None, "outer code file (default bundled Hamming [7,4])", field=None),
+    Option("c2", str, None, "inner code file (default bundled [7,3] dual)", field=None),
+    Option("m", int, 50, "control positions per block"),
+    Option("l", int, 50, "decoy positions per block"),
+    Option("t", int, None, "control abort threshold (default floor(0.11*m))"),
+    Option("tprime", int, None, "decoy abort threshold (default floor(0.11*l))", field="t_prime"),
+    Option("blocks", int, 10, "number of blocks"),
+    *_SESSION_OPTIONS,
+)
+
+
+def _add_options(parser: argparse.ArgumentParser, options: tuple[Option, ...]) -> None:
+    for option in options:
+        default = "" if option.default is None else f" (default {option.default})"
+        # int and float flags keep argparse's own message for a bad value;
+        # the rest arrive as text and are parsed with the file's values
+        kind = option.parse if option.parse in (int, float) else None
+        parser.add_argument(f"--{option.key}", type=kind, help=option.help + default)
+    parser.add_argument("--config", help="key=value config file; flags take precedence")
+
+
+def _merge_config(args: argparse.Namespace, options: tuple[Option, ...]) -> dict[str, Any]:
+    """Resolve each option's value: explicit flag, then config file, then default.
+
+    The file holds ``key=value`` lines; blank lines and ``#`` comments are skipped.
+    """
+    path = args.config
+    keys = {option.key for option in options}
+    entries: dict[str, tuple[int, str]] = {}  # key -> (line number, text)
+    for lineno, raw in enumerate(Path(path).read_text().splitlines() if path else [], start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        key, sep, value = line.partition("=")
+        key, sep, text = line.partition("=")
         if not sep:
             raise ValueError(f"{path}:{lineno}: expected key=value, got {raw!r}")
         key = key.strip()
+        if key not in keys:
+            raise ValueError(f"{path}:{lineno}: {key}: unknown config key")
         if key in entries:
             raise ValueError(f"{path}:{lineno}: duplicate key {key!r}")
-        entries[key] = value.strip()
-    return entries
-
-
-def _merge_config(args: argparse.Namespace, schema: dict) -> dict:
-    """Resolve option values: explicit flag, then config file, then default."""
-    file_entries = _read_config_file(args.config) if args.config else {}
-    for key in file_entries:
-        if key not in schema:
-            raise ValueError(f"unknown config key {key!r}")
-    resolved = {}
-    for key, (attr, cast, default) in schema.items():
-        flag_value = getattr(args, attr)
-        if flag_value is not None:
-            resolved[attr] = flag_value
-        elif key in file_entries:
-            resolved[attr] = cast(file_entries[key])
+        entries[key] = (lineno, text.strip())
+    values = {}
+    for option in options:
+        flag = getattr(args, option.dest)
+        if flag is None and option.key in entries:
+            lineno, text = entries[option.key]
+            try:
+                values[option.key] = option.parse(text)
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {option.key}: {exc}") from None
         else:
-            resolved[attr] = default
-    return resolved
+            raw = option.default if flag is None else flag
+            values[option.key] = None if raw is None else option.parse(raw)
+    return values
+
+
+def _configure(config_cls, options: tuple[Option, ...], values: dict, **fixed):
+    """Build a command's config, and its JSON echo as the config holds it."""
+    config = config_cls(**fixed, **{o.field: values[o.key] for o in options if o.field})
+    echo = {
+        o.dest: o.show(getattr(config, o.field)) if o.field else values[o.key]
+        for o in options
+        if o.key != "out"
+    }
+    return config, echo
+
+
+def _write_report(path: str, echo: dict, report, omit: set[str], **extra) -> None:
+    """Write the JSON report: the config echo, then the fields of ``report``."""
+    fields = {f.name: getattr(report, f.name) for f in dataclasses.fields(report)}
+    for name in omit:
+        del fields[name]
+    document = {"schema_version": SCHEMA_VERSION, "config": echo, **fields, **extra}
+    text = json.dumps(document, indent=2, sort_keys=True, default=dataclasses.asdict)
+    Path(path).write_text(text + "\n", newline="\n")
+    print(f"wrote report to {path}")
 
 
 def _write_csv(path: str, header: str, rows) -> None:
@@ -142,50 +238,28 @@ def _write_csv(path: str, header: str, rows) -> None:
     Path(path).write_text("\n".join(lines) + "\n", newline="\n")
 
 
-def _write_json(path: str, document: dict) -> None:
-    Path(path).write_text(
-        json.dumps(document, indent=2, sort_keys=True) + "\n", newline="\n"
-    )
-
-
 def _fmt(value: float | None) -> str:
     return "n/a" if value is None else f"{value:.6f}"
 
 
-def cmd_tradeoff(args: argparse.Namespace) -> int:
-    if args.steps < 2:
-        raise ValueError(f"need at least 2 steps, got {args.steps}")
-    rows = []
-    for theta in np.linspace(0.0, np.pi / 2.0, args.steps):
-        d_m = attacks.detection_probability_measurement(float(theta))
-        rows.append(
-            (
-                theta,
-                d_m,
-                infotheory.eve_info_bound(d_m),
-                infotheory.helstrom_info(float(theta)),
-            )
-        )
-    _write_csv(args.out, "theta,d_m,info_eq10,info_helstrom", rows)
-    print(f"wrote {args.steps} rows to {args.out}")
-    return 0
+def _tradeoff_row(theta: float) -> tuple[float, ...]:
+    d_m = attacks.detection_probability_measurement(theta)
+    return theta, d_m, infotheory.eve_info_bound(d_m), infotheory.helstrom_info(theta)
 
 
-def cmd_security_curve(args: argparse.Namespace) -> int:
+def _security_row(d: float) -> tuple[float, ...]:
+    i_ab = infotheory.bob_info_symmetric(float(np.arcsin(np.sqrt(d))))
+    return d, infotheory.eve_info_bound(d), i_ab, infotheory.security_margin(d)
+
+
+def cmd_curve(header: str, stop: float, row: Callable, args: argparse.Namespace) -> int:
+    """Write ``row(x)`` for ``--steps`` points x evenly spaced over [0, stop]."""
     if args.steps < 2:
         raise ValueError(f"need at least 2 steps, got {args.steps}")
-    rows = []
-    for d in np.linspace(0.0, 0.5, args.steps):
-        alpha = float(np.arcsin(np.sqrt(d)))
-        rows.append(
-            (
-                d,
-                infotheory.eve_info_bound(float(d)),
-                infotheory.bob_info_symmetric(alpha),
-                infotheory.security_margin(float(d)),
-            )
-        )
-    _write_csv(args.out, "d,i_ae,i_ab,margin", rows)
+    if args.steps > MAX_STEPS:
+        raise ValueError(f"at most {MAX_STEPS} steps, got {args.steps}")
+    rows = [row(float(x)) for x in np.linspace(0.0, stop, args.steps)]
+    _write_csv(args.out, header, rows)
     print(f"wrote {args.steps} rows to {args.out}")
     return 0
 
@@ -195,83 +269,22 @@ def cmd_threshold(args: argparse.Namespace) -> int:
     return 0
 
 
-_PINGPONG_SCHEMA = {
-    "rounds": ("rounds", int, 10000),
-    "control-prob": ("control_prob", float, 0.5),
-    "eve": ("eve", str, "none"),
-    "noise": ("noise", str, "none"),
-    "seed": ("seed", int, 0),
-    "out": ("out", str, None),
-}
-
-
 def cmd_pingpong(args: argparse.Namespace) -> int:
-    values = _merge_config(args, _PINGPONG_SCHEMA)
-    config = pingpong.ProtocolConfig(
-        rounds=values["rounds"],
-        control_prob=values["control_prob"],
-        eve=parse_strategy(values["eve"]),
-        noise=parse_noise(values["noise"]),
-        seed=values["seed"],
-    )
+    values = _merge_config(args, PINGPONG_OPTIONS)
+    config, echo = _configure(pingpong.ProtocolConfig, PINGPONG_OPTIONS, values)
     report = pingpong.run_session(config)
     theory = report.theory
     print(f"rounds: {config.rounds} (control {report.n_control}, message {report.n_message})")
-    print(
-        f"detection rate: {_fmt(report.detection_rate)}"
-        + (f"  (theory {theory.detection_rate:.6f})" if theory else "  (no closed form)")
-    )
-    print(
-        f"bob error rate: {_fmt(report.bob_error_rate)}"
-        + (f"  (theory {theory.bob_error_rate:.6f})" if theory else "  (no closed form)")
-    )
+    for label, name in (("detection rate", "detection_rate"),
+                        ("bob error rate", "bob_error_rate")):
+        closed = f"  (theory {getattr(theory, name):.6f})" if theory else "  (no closed form)"
+        print(f"{label}: {_fmt(getattr(report, name))}{closed}")
     print(f"eve accuracy: {_fmt(report.eve_accuracy)}")
     print(f"I(A:B) estimate: {_fmt(report.i_ab_hat)} bits")
     print(f"I(A:E) estimate: {_fmt(report.i_ae_hat)} bits")
     if values["out"]:
-        document = {
-            "schema_version": SCHEMA_VERSION,
-            "config": {
-                "rounds": config.rounds,
-                "control_prob": config.control_prob,
-                "eve": format_strategy(config.eve),
-                "noise": format_noise(config.noise),
-                "seed": config.seed,
-            },
-            "n_control": report.n_control,
-            "detection_rate": report.detection_rate,
-            "n_message": report.n_message,
-            "bob_error_rate": report.bob_error_rate,
-            "eve_accuracy": report.eve_accuracy,
-            "i_ab_hat": report.i_ab_hat,
-            "i_ae_hat": report.i_ae_hat,
-            "theory": (
-                {
-                    "detection_rate": theory.detection_rate,
-                    "bob_error_rate": theory.bob_error_rate,
-                }
-                if theory
-                else None
-            ),
-        }
-        _write_json(values["out"], document)
-        print(f"wrote report to {values['out']}")
+        _write_report(values["out"], echo, report, omit={"n_coincidence"})
     return 0
-
-
-_QKD_SCHEMA = {
-    "c1": ("c1", str, None),
-    "c2": ("c2", str, None),
-    "m": ("m", int, 50),
-    "l": ("l", int, 50),
-    "t": ("t", int, None),
-    "tprime": ("tprime", int, None),
-    "blocks": ("blocks", int, 10),
-    "eve": ("eve", str, "none"),
-    "noise": ("noise", str, "none"),
-    "seed": ("seed", int, 0),
-    "out": ("out", str, None),
-}
 
 
 def _block_entry(result: css_qkd.QkdResult, reveal: bool) -> dict:
@@ -291,21 +304,11 @@ def _block_entry(result: css_qkd.QkdResult, reveal: bool) -> dict:
 
 
 def cmd_qkd(args: argparse.Namespace) -> int:
-    values = _merge_config(args, _QKD_SCHEMA)
-    c1_path = values["c1"] or str(css_qkd.bundled_code_path("hamming74.code"))
-    c2_path = values["c2"] or str(css_qkd.bundled_code_path("hamming74dual.code"))
-    pair = css_qkd.NestedCodePair(_resolve_code(c1_path), _resolve_code(c2_path))
-    config = css_qkd.QkdConfig(
-        pair=pair,
-        m=values["m"],
-        l=values["l"],
-        t=values["t"],
-        t_prime=values["tprime"],
-        blocks=values["blocks"],
-        eve=parse_strategy(values["eve"]),
-        noise=parse_noise(values["noise"]),
-        seed=values["seed"],
-    )
+    values = _merge_config(args, QKD_OPTIONS)
+    values["c1"] = values["c1"] or str(css_qkd.bundled_code_path("hamming74.code"))
+    values["c2"] = values["c2"] or str(css_qkd.bundled_code_path("hamming74dual.code"))
+    pair = css_qkd.NestedCodePair(_resolve_code(values["c1"]), _resolve_code(values["c2"]))
+    config, echo = _configure(css_qkd.QkdConfig, QKD_OPTIONS, values, pair=pair)
     report = css_qkd.run_qkd_session(config)
     print(
         f"blocks: {report.n_blocks} (completed {report.n_completed},"
@@ -327,72 +330,46 @@ def cmd_qkd(args: argparse.Namespace) -> int:
             if isinstance(result, css_qkd.Completed):
                 print(f"block {i}: alice_key={result.alice_key} bob_key={result.bob_key}")
     if values["out"]:
-        document = {
-            "schema_version": SCHEMA_VERSION,
-            "config": {
-                "c1": c1_path,
-                "c2": c2_path,
-                "m": config.m,
-                "l": config.l,
-                "t": config.t,
-                "tprime": config.t_prime,
-                "blocks": config.blocks,
-                "eve": format_strategy(config.eve),
-                "noise": format_noise(config.noise),
-                "seed": config.seed,
-            },
-            "n_blocks": report.n_blocks,
-            "n_aborted_control": report.n_aborted_control,
-            "n_aborted_decoy": report.n_aborted_decoy,
-            "n_completed": report.n_completed,
-            "abort_rate": report.abort_rate,
-            "n_agreed": report.n_agreed,
-            "agreement_rate": report.agreement_rate,
-            "total_key_bits": report.total_key_bits,
-            "total_decode_failures": report.total_decode_failures,
-            "blocks": [_block_entry(r, args.reveal_keys) for r in report.results],
-        }
-        _write_json(values["out"], document)
-        print(f"wrote report to {values['out']}")
+        blocks = [_block_entry(r, args.reveal_keys) for r in report.results]
+        _write_report(values["out"], echo, report, omit={"results"}, blocks=blocks)
     if report.n_completed == 0:
         print("verdict: all blocks aborted, channel is compromised or too noisy")
         return 1
     return 0
 
 
-def cmd_css(args: argparse.Namespace) -> int:
-    if args.css_command == "info":
-        if len(args.code) > 2:
-            raise ValueError("info takes one code file or an outer/inner pair")
-        codes = [_resolve_code(p) for p in args.code]
-        for code in codes:
-            print(f"n={code.n} k={code.k} d={css_qkd.min_distance(code)}")
-        if len(codes) == 2:
-            pair = css_qkd.NestedCodePair(codes[0], codes[1])
-            print(f"key_bits={pair.key_length}")
-        return 0
-    if args.css_command == "encode":
-        code = _resolve_code(args.code)
-        message = css_qkd.BinaryWord.from_string(args.word)
-        print(css_qkd.encode(code, message))
-        return 0
-    if args.css_command == "decode":
-        code = _resolve_code(args.code)
-        word = css_qkd.BinaryWord.from_string(args.word)
-        result = css_qkd.syndrome_decode(code, word)
-        if result is None:
-            print("decode failure: no codeword within the correction radius")
-        else:
-            print(result)
-        return 0
-    if args.css_command == "coset":
-        pair = css_qkd.NestedCodePair(
-            _resolve_code(args.c1), _resolve_code(args.c2)
-        )
-        word = css_qkd.BinaryWord.from_string(args.word)
-        print(css_qkd.coset_key(pair, word))
-        return 0
-    raise ValueError(f"unknown css subcommand {args.css_command!r}")
+def cmd_css_info(args: argparse.Namespace) -> int:
+    if len(args.code) > 2:
+        raise ValueError("info takes one code file or an outer/inner pair")
+    codes = [_resolve_code(p) for p in args.code]
+    for code in codes:
+        print(f"n={code.n} k={code.k} d={css_qkd.min_distance(code)}")
+    if len(codes) == 2:
+        pair = css_qkd.NestedCodePair(codes[0], codes[1])
+        print(f"key_bits={pair.key_length}")
+    return 0
+
+
+def cmd_css_encode(args: argparse.Namespace) -> int:
+    code = _resolve_code(args.code)
+    print(css_qkd.encode(code, css_qkd.BinaryWord.from_string(args.word)))
+    return 0
+
+
+def cmd_css_decode(args: argparse.Namespace) -> int:
+    code = _resolve_code(args.code)
+    result = css_qkd.syndrome_decode(code, css_qkd.BinaryWord.from_string(args.word))
+    if result is None:
+        print("decode failure: no codeword within the correction radius")
+    else:
+        print(result)
+    return 0
+
+
+def cmd_css_coset(args: argparse.Namespace) -> int:
+    pair = css_qkd.NestedCodePair(_resolve_code(args.c1), _resolve_code(args.c2))
+    print(css_qkd.coset_key(pair, css_qkd.BinaryWord.from_string(args.word)))
+    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -402,66 +379,48 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("tradeoff", help="CSV of the measure-resend information curve")
-    p.add_argument("--steps", type=int, default=100, help="number of theta samples")
-    p.add_argument("--out", required=True, help="CSV output path")
-    p.set_defaults(func=cmd_tradeoff)
-
-    p = sub.add_parser("security-curve", help="CSV of information rates over detection d")
-    p.add_argument("--steps", type=int, default=501, help="number of d samples")
-    p.add_argument("--out", required=True, help="CSV output path")
-    p.set_defaults(func=cmd_security_curve)
+    for name, help, sample, steps, stop, header, row in (
+        ("tradeoff", "CSV of the measure-resend information curve", "theta", 100,
+         np.pi / 2.0, "theta,d_m,info_eq10,info_helstrom", _tradeoff_row),
+        ("security-curve", "CSV of information rates over detection d", "d", 501,
+         0.5, "d,i_ae,i_ab,margin", _security_row),
+    ):
+        p = sub.add_parser(name, help=help)
+        p.add_argument("--steps", type=int, default=steps,
+                       help=f"number of {sample} samples, 2 to {MAX_STEPS} (default {steps})")
+        p.add_argument("--out", required=True, help="CSV output path")
+        p.set_defaults(func=partial(cmd_curve, header, stop, row))
 
     p = sub.add_parser("threshold", help="print the security threshold d*")
     p.set_defaults(func=cmd_threshold)
 
     p = sub.add_parser("pingpong", help="Monte Carlo session of the two-way protocol")
-    p.add_argument("--rounds", type=int, help="number of rounds (default 10000)")
-    p.add_argument("--control-prob", type=float, dest="control_prob",
-                   help="per-round control probability (default 0.5)")
-    p.add_argument("--eve", help="attack spec: none, measure:theta=, entangle:alpha=")
-    p.add_argument("--noise", help="noise spec: none, bitflip:p=, phaseflip:p=, depolarizing:p=")
-    p.add_argument("--seed", type=int, help="session seed (default 0)")
-    p.add_argument("--out", help="JSON report path")
-    p.add_argument("--config", help="key=value config file; flags take precedence")
+    _add_options(p, PINGPONG_OPTIONS)
     p.set_defaults(func=cmd_pingpong)
 
     p = sub.add_parser("qkd", help="multi-block coded key distribution run")
-    p.add_argument("--c1", help="outer code file (default: bundled Hamming [7,4])")
-    p.add_argument("--c2", help="inner code file (default: bundled [7,3] dual)")
-    p.add_argument("--m", type=int, help="control positions per block (default 50)")
-    p.add_argument("--l", type=int, help="decoy positions per block (default 50)")
-    p.add_argument("--t", type=int, help="control abort threshold (default floor(0.11*m))")
-    p.add_argument("--tprime", type=int, help="decoy abort threshold (default floor(0.11*l))")
-    p.add_argument("--blocks", type=int, help="number of blocks (default 10)")
-    p.add_argument("--eve", help="attack spec")
-    p.add_argument("--noise", help="noise spec")
-    p.add_argument("--seed", type=int, help="session seed (default 0)")
-    p.add_argument("--out", help="JSON report path")
-    p.add_argument("--config", help="key=value config file; flags take precedence")
-    p.add_argument("--reveal-keys", action="store_true", dest="reveal_keys",
-                   help="include key material in output")
+    _add_options(p, QKD_OPTIONS)
+    p.add_argument("--reveal-keys", action="store_true", help="include key material in output")
     p.set_defaults(func=cmd_qkd)
 
     p = sub.add_parser("css", help="linear-code utilities")
     csub = p.add_subparsers(dest="css_command", required=True)
     q = csub.add_parser("info", help="print n, k, min distance; with two files, key bits")
     q.add_argument("code", nargs="+", help="one or two code files")
-    q.set_defaults(func=cmd_css)
+    q.set_defaults(func=cmd_css_info)
     q = csub.add_parser("encode", help="encode a k-bit message")
     q.add_argument("code", help="code file")
     q.add_argument("word", help="k-bit message")
-    q.set_defaults(func=cmd_css)
+    q.set_defaults(func=cmd_css_encode)
     q = csub.add_parser("decode", help="correct a received n-bit word")
     q.add_argument("code", help="code file")
     q.add_argument("word", help="n-bit word")
-    q.set_defaults(func=cmd_css)
+    q.set_defaults(func=cmd_css_decode)
     q = csub.add_parser("coset", help="coset label of an outer codeword")
     q.add_argument("c1", help="outer code file")
     q.add_argument("c2", help="inner code file")
     q.add_argument("word", help="n-bit outer codeword")
-    q.set_defaults(func=cmd_css)
-    p.set_defaults(func=cmd_css)
+    q.set_defaults(func=cmd_css_coset)
 
     return parser
 

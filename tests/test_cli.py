@@ -1,13 +1,15 @@
 """End-to-end tests of the command line interface."""
 
+import hashlib
 import json
 import math
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
-from pingpong_qkd import css_qkd
+from pingpong_qkd import cli, css_qkd
 from pingpong_qkd.cli import format_noise, main, parse_noise
 from pingpong_qkd.css_qkd import bundled_code_path
 from pingpong_qkd.quantum_core import BitFlip, Depolarizing, NoNoise, PhaseFlip
@@ -59,6 +61,20 @@ class TestTradeoffCommand:
     def test_rejects_single_step(self, tmp_path):
         out = tmp_path / "x.csv"
         assert run_cli("tradeoff", "--steps", "1", "--out", str(out)) == 2
+
+    @pytest.mark.parametrize("command", ["tradeoff", "security-curve"])
+    def test_steps_above_cap_rejected_before_allocating(
+        self, tmp_path, capsys, monkeypatch, command
+    ):
+        def no_grid(*args, **kwargs):
+            raise AssertionError("the sample grid was built before the cap check")
+
+        monkeypatch.setattr(np, "linspace", no_grid)
+        out = tmp_path / "x.csv"
+        steps = str(cli.MAX_STEPS + 1)
+        assert run_cli(command, "--steps", steps, "--out", str(out)) == 2
+        assert f"at most {cli.MAX_STEPS} steps, got {steps}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_helstrom_column_never_exceeds_bound(self, tmp_path):
         out = tmp_path / "curve.csv"
@@ -202,9 +218,28 @@ class TestPingpongCommand:
 
     def test_config_file_unknown_key(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("spin=up\n")
+        cfg.write_text("rounds=10\nspin=up\n")
         assert run_cli("pingpong", "--config", str(cfg), "--rounds", "10") == 2
-        assert "spin" in capsys.readouterr().err
+        assert f"error: {cfg}:2: spin: unknown config key" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command, text, message",
+        [
+            ("pingpong", "seed=1\nrounds=abc\n",
+             "2: rounds: invalid literal for int() with base 10: 'abc'"),
+            ("pingpong", "control-prob=half\n", "1: control-prob: could not convert"),
+            ("pingpong", "# spec\neve=laser\n", "2: eve: unrecognized attack spec 'laser'"),
+            ("qkd", "t=\n", "1: t: invalid literal for int() with base 10: ''"),
+        ],
+        ids=["int", "float", "spec", "empty"],
+    )
+    def test_config_file_bad_value_names_file_line_and_key(
+        self, tmp_path, capsys, command, text, message
+    ):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(text)
+        assert run_cli(command, "--config", str(cfg)) == 2
+        assert f"error: {cfg}:{message}" in capsys.readouterr().err
 
 
 class TestQkdCommand:
@@ -352,6 +387,120 @@ class TestCssCommand:
         (tmp_path / "hamming74.code").write_text("3 1\n111\n")
         run_cli("css", "info", "hamming74.code")
         assert "n=3 k=1 d=3" in capsys.readouterr().out
+
+
+GOLDEN_CONFIG = (
+    "c1=hamming74.code\nc2=hamming74dual.code\nm=12\nt=2\ntprime=3\n"
+    "eve=entangle:alpha=0.25\nblocks=6\nseed=5\n"
+)
+
+
+# sha256 of each artifact's bytes, recorded before the options moved into
+# one table per command; a changed digest is a changed output format
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (("tradeoff", "--steps", "25", "--out", "curve.csv"),
+         "65870b214795a6186323e3fbde1d126614eca3cadf01656435c8030825761aa1"),
+        (("security-curve", "--steps", "51", "--out", "sec.csv"),
+         "3a5546379b4fa6a348e134abde4f8e426e1725004da1492c3739b3509663b855"),
+        (("pingpong", "--rounds", "1500", "--eve", "measure:theta=1.5708", "--seed", "7",
+          "--out", "report.json"),
+         "860281e66e265f927924a648e98b9e190695817cf8af62a07c88d4f2149f0a90"),
+        (("pingpong", "--rounds", "10", "--control-prob", "0", "--out", "report.json"),
+         "607fbe22b60903d4bcf01194e5eb6b68703acb62c85c810c1ebddf371b59898f"),
+        (("qkd", "--c1", "hamming74.code", "--c2", "hamming74dual.code", "--blocks", "3",
+          "--m", "10", "--l", "10", "--seed", "2", "--reveal-keys", "--out", "qkd.json"),
+         "70fba46f781b6f6b9273497f34dba6f40b4f5c6af6a8b05006297237b4c9f7e2"),
+        (("qkd", "--config", "run.cfg", "--out", "qkd.json"),
+         "2c4a8e8bb0f11ea81e9e1338705eabd64f0ff2402f38bd20a041630a4fc90b3e"),
+    ],
+    ids=["tradeoff", "security-curve", "pingpong-intercept", "pingpong-no-control",
+         "qkd-reveal-keys", "qkd-config-file"],
+)
+def test_golden_artifact_bytes(tmp_path, monkeypatch, argv, digest):
+    # bare bundled names and relative paths keep the bytes checkout-independent
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "run.cfg").write_text(GOLDEN_CONFIG)
+    assert run_cli(*argv) == 0
+    assert hashlib.sha256((tmp_path / argv[-1]).read_bytes()).hexdigest() == digest
+
+
+# two distinct texts per option, neither the default
+OPTION_SAMPLES = {
+    "rounds": ("20", "30"),
+    "control-prob": ("0.25", "0.75"),
+    "eve": ("measure:theta=0.5", "entangle:alpha=0.2"),
+    "noise": ("bitflip:p=0.1", "depolarizing:p=0.2"),
+    "seed": ("3", "4"),
+    "out": ("a.json", "b.json"),
+    "c1": ("a.code", "b.code"),
+    "c2": ("c.code", "d.code"),
+    "m": ("12", "13"),
+    "l": ("14", "15"),
+    "t": ("1", "2"),
+    "tprime": ("3", "4"),
+    "blocks": ("2", "3"),
+}
+OPTION_ROWS = [("pingpong", cli.PINGPONG_OPTIONS, option) for option in cli.PINGPONG_OPTIONS] + [
+    ("qkd", cli.QKD_OPTIONS, option) for option in cli.QKD_OPTIONS
+]
+
+
+@pytest.mark.parametrize(
+    "command, options, option",
+    OPTION_ROWS,
+    ids=[f"{command}-{option.key}" for command, _, option in OPTION_ROWS],
+)
+class TestOptionTable:
+    @staticmethod
+    def resolve(command, options, option, *argv):
+        args = cli.build_parser().parse_args([command, *argv])
+        return cli._merge_config(args, options)[option.key]
+
+    def test_flag_and_file_key_set_the_same_value(self, tmp_path, command, options, option):
+        first, _ = OPTION_SAMPLES[option.key]
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{option.key}={first}\n")
+        from_flag = self.resolve(command, options, option, f"--{option.key}", first)
+        from_file = self.resolve(command, options, option, "--config", str(cfg))
+        assert from_flag == from_file == option.parse(first)
+
+    def test_flag_beats_file_beats_default(self, tmp_path, command, options, option):
+        first, second = OPTION_SAMPLES[option.key]
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{option.key}={first}\n")
+        default = self.resolve(command, options, option)
+        from_file = self.resolve(command, options, option, "--config", str(cfg))
+        both = self.resolve(command, options, option, "--config", str(cfg),
+                            f"--{option.key}", second)
+        assert default != from_file == option.parse(first)
+        assert both == option.parse(second)
+
+    def test_help_shows_flag_and_default(self, capsys, command, options, option):
+        assert run_cli(command, "--help") == 0
+        shown = " ".join(capsys.readouterr().out.split())
+        assert f"--{option.key} " in shown
+        if option.default is not None:
+            assert f"(default {option.default})" in shown
+
+
+@pytest.mark.parametrize(
+    "argv, echo",
+    [
+        (("pingpong", "--rounds", "10"),
+         {"rounds": 10, "control_prob": 0.5, "eve": "none", "noise": "none", "seed": 0}),
+        (("qkd", "--blocks", "1", "--m", "20", "--l", "30", "--c1", "hamming74.code",
+          "--c2", "hamming74dual.code", "--noise", "bitflip:p=0.01"),
+         {"c1": "hamming74.code", "c2": "hamming74dual.code", "m": 20, "l": 30, "t": 2,
+          "tprime": 3, "blocks": 1, "eve": "none", "noise": "bitflip:p=0.01", "seed": 0}),
+    ],
+    ids=["pingpong", "qkd"],
+)
+def test_json_config_echo(tmp_path, argv, echo):
+    out = tmp_path / "r.json"
+    run_cli(*argv, "--out", str(out))
+    assert json.loads(out.read_text())["config"] == echo
 
 
 class TestEntryPoint:
