@@ -13,7 +13,6 @@ from .quantum_core import (
     BellOutcome,
     BitFlip,
     Depolarizing,
-    DensityMatrix2,
     NoiseModel,
     NoNoise,
     PhaseFlip,
@@ -24,16 +23,12 @@ from .quantum_core import (
     apply_pauli_y,
     apply_pauli_z,
     bell_measure,
-    bell_probabilities,
     bell_state,
     discrimination_basis,
-    fidelity,
-    helstrom_success,
     measure_computational,
     measure_in_basis,
     prepare_polarized,
     product_state,
-    reduced_density_travel,
 )
 from .infotheory import (
     JointCounts2x2,
@@ -48,7 +43,6 @@ from .infotheory import (
 from .attacks import (
     EveRecord,
     EveStrategy,
-    GenericAncilla,
     MeasureResend,
     NoEve,
     SymmetricEntangle,
@@ -75,14 +69,10 @@ from .css_qkd import (
     BinaryWord,
     Completed,
     NestedCodePair,
-    PositionKind,
-    PositionLabeling,
     QkdConfig,
     QkdResult,
     QkdSessionReport,
-    assign_positions,
     bundled_code_path,
-    codeword_superposition,
     contains,
     coset_key,
     encode,

@@ -1,6 +1,6 @@
 """Eavesdropping strategies against the two-way entanglement protocol.
 
-Three concrete attacks are modeled:
+Two concrete attacks are modeled:
 
 * measure-resend: project the travel qubit onto the computational basis
   on the way out, substitute a polarized qubit at polar angle theta, and
@@ -8,10 +8,7 @@ Three concrete attacks are modeled:
   two-outcome measurement;
 * symmetric entangling: replace the travel qubit so the pair sits in
   cos(alpha) |psi-> + sin(alpha) |phi+>, which is detected with
-  probability sin^2(alpha) in either protocol mode;
-* generic ancilla: an abstract one-probe interaction specified only by
-  its amplitude split, usable for detection bookkeeping but not
-  round-by-round simulation.
+  probability sin^2(alpha) in either protocol mode.
 """
 
 from __future__ import annotations
@@ -32,8 +29,6 @@ from .quantum_core import (
     prepare_polarized,
     product_state,
 )
-
-_EPS = 1e-12
 
 # angles given as rounded literals (1.5708 for pi/2) land slightly past
 # the bound; accept within this grace and clamp to the exact domain
@@ -75,27 +70,7 @@ class SymmetricEntangle:
         )
 
 
-@dataclass(frozen=True)
-class GenericAncilla:
-    """Abstract probe |0,chi> -> alpha_amp |0,chi0> + beta_amp |1,chi1>.
-
-    Only the amplitude split is specified, so the strategy supports
-    analytic detection accounting but cannot be simulated per round.
-    """
-
-    alpha_amp: complex
-    beta_amp: complex
-
-    def __post_init__(self) -> None:
-        total = abs(self.alpha_amp) ** 2 + abs(self.beta_amp) ** 2
-        if abs(total - 1.0) > _EPS:
-            raise ValueError(f"probe amplitudes are not normalized: {total!r}")
-
-    def detection(self) -> float:
-        return float(abs(self.beta_amp) ** 2)
-
-
-EveStrategy = NoEve | MeasureResend | SymmetricEntangle | GenericAncilla
+EveStrategy = NoEve | MeasureResend | SymmetricEntangle
 
 
 @dataclass(frozen=True)

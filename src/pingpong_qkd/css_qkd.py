@@ -17,7 +17,6 @@ through ``_gf2_eliminate``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from functools import lru_cache
 from itertools import combinations
 from pathlib import Path
@@ -25,11 +24,15 @@ from pathlib import Path
 import numpy as np
 
 from .attacks import EveStrategy, NoEve
-from .pingpong import control_stage, return_stage, send_stage
-from .quantum_core import MAX_QUBITS, NoiseModel, NoNoise, PureState, _trusted_state
+from .pingpong import _check_channel, control_stage, return_stage, send_stage
+from .quantum_core import NoiseModel, NoNoise
 
 # exhaustive enumeration and syndrome tables are capped at this length
 MAX_CODE_BITS = 24
+
+# cap on the n + m + l pairs of one block; a block peaks near 300 bytes
+# per pair, so this bounds it at about 300 MB
+MAX_BLOCK_PAIRS = 10**6
 
 
 @dataclass(frozen=True)
@@ -281,59 +284,14 @@ def coset_key(pair: NestedCodePair, v: BinaryWord) -> BinaryWord:
     return _array_word(_word_array(v) @ _label_map(pair))
 
 
-def codeword_superposition(pair: NestedCodePair, x: BinaryWord) -> PureState:
-    """Equal superposition over the coset {x XOR y : y in C2}.
-
-    The amplitude of each member index is 1/sqrt(|C2|); two
-    representatives of the same coset build the identical state.
-    """
-    n = pair.c1.n
-    if n > MAX_QUBITS:
-        raise ValueError(f"block length {n} exceeds the {MAX_QUBITS}-qubit register cap")
-    if not contains(pair.c1, x):
-        raise ValueError(f"word {x} is not a codeword of the outer code")
-    members = _span(_generator_matrix(pair.c2), 0, 1 << pair.c2.k) ^ _word_array(x)
-    place = (1 << np.arange(n - 1, -1, -1)).astype(np.int64)
-    indices = members.astype(np.int64) @ place
-    amps = np.zeros(1 << n, dtype=np.complex128)
-    amps[indices] = 1.0 / np.sqrt(len(indices))
-    return _trusted_state(amps, n)
-
-
-class PositionKind(Enum):
-    MESSAGE = "message"
-    CONTROL = "control"
-    DECOY = "decoy"
-
-
-@dataclass(frozen=True)
-class PositionLabeling:
-    """Assignment of each block position to one of the three roles."""
-
-    labels: tuple[PositionKind, ...]
-
-    def count(self, kind: PositionKind) -> int:
-        return sum(1 for lab in self.labels if lab is kind)
-
-    def positions(self, kind: PositionKind) -> tuple[int, ...]:
-        return tuple(i for i, lab in enumerate(self.labels) if lab is kind)
-
-
-# the position kinds in the order of their integer codes
-_KINDS = (PositionKind.MESSAGE, PositionKind.CONTROL, PositionKind.DECOY)
 _MESSAGE, _CONTROL, _DECOY = range(3)
 
 
 def _position_kinds(n: int, m: int, l: int, rng: np.random.Generator) -> np.ndarray:
-    """The integer code in ``_KINDS`` of each position of a labeling."""
+    """Uniformly random labeling with exactly n ``_MESSAGE``, m ``_CONTROL``, l ``_DECOY``."""
     if n < 1 or m < 1 or l < 1:
         raise ValueError(f"all position counts must be positive, got {(n, m, l)!r}")
     return np.repeat(np.arange(3), (n, m, l))[rng.permutation(n + m + l)]
-
-
-def assign_positions(n: int, m: int, l: int, rng: np.random.Generator) -> PositionLabeling:
-    """Uniformly random labeling with exactly n Message, m Control, l Decoy."""
-    return PositionLabeling(labels=tuple(_KINDS[k] for k in _position_kinds(n, m, l, rng)))
 
 
 @dataclass(frozen=True)
@@ -342,6 +300,8 @@ class QkdConfig:
 
     Abort thresholds default to floor(0.11 * count): the protocol
     tolerates at most an 0.11 observed error ratio on either check.
+    A block holds at most ``MAX_BLOCK_PAIRS`` pairs, and ``eve`` and
+    ``noise`` are type-checked as in ``pingpong.ProtocolConfig``.
     """
 
     pair: NestedCodePair
@@ -357,6 +317,11 @@ class QkdConfig:
     def __post_init__(self) -> None:
         if self.m < 1 or self.l < 1:
             raise ValueError(f"control and decoy counts must be positive, got {(self.m, self.l)!r}")
+        pairs = self.pair.c1.n + self.m + self.l
+        if pairs > MAX_BLOCK_PAIRS:
+            raise ValueError(
+                f"a block of n + m + l = {pairs} pairs exceeds the {MAX_BLOCK_PAIRS}-pair cap"
+            )
         if self.blocks < 1:
             raise ValueError(f"block count must be positive, got {self.blocks!r}")
         if self.seed < 0:
@@ -369,6 +334,7 @@ class QkdConfig:
             raise ValueError(f"control threshold {self.t!r} outside [0, {self.m}]")
         if not 0 <= self.t_prime <= self.l:
             raise ValueError(f"decoy threshold {self.t_prime!r} outside [0, {self.l}]")
+        _check_channel(self.eve, self.noise)
 
 
 @dataclass(frozen=True)

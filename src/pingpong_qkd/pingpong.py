@@ -55,7 +55,6 @@ import numpy as np
 from .attacks import (
     EveRecord,
     EveStrategy,
-    GenericAncilla,
     MeasureResend,
     NoEve,
     SymmetricEntangle,
@@ -109,6 +108,13 @@ _DECODE_BITS = np.array([DECODE_MAP[kind] for kind in BELL_ORDER], dtype=np.uint
 _NO_RECORD = EveRecord()
 
 
+def _check_channel(eve: EveStrategy, noise: NoiseModel) -> None:
+    if not isinstance(eve, EveStrategy):
+        raise TypeError(f"eve must be an EveStrategy, got {eve!r}")
+    if not isinstance(noise, NoiseModel):
+        raise TypeError(f"noise must be a NoiseModel, got {noise!r}")
+
+
 class Mode(Enum):
     CONTROL = "control"
     MESSAGE = "message"
@@ -119,7 +125,8 @@ class ProtocolConfig:
     """Parameters of a simulated session.
 
     ``control_prob`` is the per-round probability of a control round.
-    ``seed`` feeds a fresh numpy Generator per session.
+    ``seed`` feeds a fresh numpy Generator per session.  ``eve`` must be
+    an ``EveStrategy`` and ``noise`` a ``NoiseModel``, else TypeError.
     """
 
     rounds: int
@@ -135,6 +142,7 @@ class ProtocolConfig:
             raise ValueError(f"control probability {self.control_prob!r} outside [0, 1]")
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed!r}")
+        _check_channel(self.eve, self.noise)
 
 
 @dataclass(frozen=True)
@@ -179,14 +187,6 @@ class SessionReport:
     theory: TheoryRates | None
 
 
-def _require_simulable(eve: EveStrategy) -> None:
-    if isinstance(eve, GenericAncilla):
-        raise ValueError(
-            "the generic ancilla strategy fixes only its amplitude split "
-            "and cannot be simulated round by round"
-        )
-
-
 def _noise_draws(noise: NoiseModel) -> int:
     return 0 if isinstance(noise, NoNoise) else 1
 
@@ -198,7 +198,6 @@ def send_leg(
 
     Returns the eavesdropper's record and the pair as it reaches Alice.
     """
-    _require_simulable(eve)
     if isinstance(eve, SymmetricEntangle):
         if not isinstance(noise, NoNoise):
             rng.random()  # the noise draw; the substitution discards the noisy pair
@@ -251,7 +250,6 @@ def send_stage(
     eavesdropper's intercept bit for each (0 where she does not
     intercept).
     """
-    _require_simulable(eve)
     intercepting = isinstance(eve, MeasureResend)
     u = rng.random((rows, _noise_draws(noise) + intercepting))
     intercept = np.zeros(rows, dtype=np.intp)

@@ -52,15 +52,11 @@ class PureState:
         if n > MAX_QUBITS:
             raise ValueError(f"register of {n} qubits exceeds the {MAX_QUBITS}-qubit cap")
         norm_sq = float(np.sum(np.abs(arr) ** 2))
-        if abs(norm_sq - 1.0) > NORM_TOL:
+        if not abs(norm_sq - 1.0) <= NORM_TOL:
             raise ValueError(f"state is not normalized: sum of squares is {norm_sq!r}")
         arr.flags.writeable = False
         self.amps = arr
         self.n_qubits = n
-
-    def probabilities(self) -> np.ndarray:
-        """Born-rule probability of each computational basis index."""
-        return np.abs(self.amps) ** 2
 
     def __repr__(self) -> str:
         return f"PureState({np.array2string(self.amps, precision=6)})"
@@ -241,20 +237,15 @@ def measure_in_basis(
     return outcome, _trusted_state(collapsed.reshape(1 << n), n)
 
 
-def _bell_weights(state: TwoQubitState) -> np.ndarray:
-    _require_two_qubits(state)
-    return np.abs(_BELL_MATRIX @ state.amps) ** 2
-
-
-def bell_probabilities(state: TwoQubitState) -> dict[BellOutcome, float]:
-    """Born-rule weight of each Bell state in a two-qubit register."""
-    probs = _bell_weights(state)
-    return {kind: float(probs[kind.value]) for kind in BELL_ORDER}
+def _bell_weights(amps: np.ndarray) -> np.ndarray:
+    # Born weight of each Bell state, in BELL_ORDER, for (..., 4) amplitudes
+    return np.abs(amps @ _BELL_MATRIX.T) ** 2
 
 
 def bell_measure(state: TwoQubitState, rng: np.random.Generator) -> BellOutcome:
     """Sample a full Bell-basis measurement of a two-qubit register."""
-    probs = _bell_weights(state)
+    _require_two_qubits(state)
+    probs = _bell_weights(state.amps)
     r = rng.random()
     acc = 0.0
     for kind in BELL_ORDER:
@@ -359,50 +350,13 @@ def bell_sample_rows(states: np.ndarray, u: np.ndarray) -> np.ndarray:
     The first outcome whose cumulative weight exceeds u, as in
     ``bell_measure``.
     """
-    weights = np.abs(states @ _BELL_MATRIX.T) ** 2
+    weights = _bell_weights(states)
     acc = weights[:, 0]
     outcomes = (acc <= u).astype(np.intp)
     for k in (1, 2):
         acc = acc + weights[:, k]
         outcomes += acc <= u
     return outcomes
-
-
-@dataclass(frozen=True)
-class DensityMatrix2:
-    """Validated 2x2 density matrix (Hermitian, unit trace, PSD)."""
-
-    matrix: np.ndarray
-
-    def __post_init__(self) -> None:
-        m = np.array(self.matrix, dtype=np.complex128)
-        if m.shape != (2, 2):
-            raise ValueError("density matrix must be 2x2")
-        if abs(np.trace(m).real - 1.0) > 1e-10 or abs(np.trace(m).imag) > 1e-10:
-            raise ValueError("density matrix trace is not 1")
-        if not np.allclose(m, m.conj().T, atol=1e-10):
-            raise ValueError("density matrix is not Hermitian")
-        if np.linalg.eigvalsh(m).min() < -1e-10:
-            raise ValueError("density matrix has a negative eigenvalue")
-        m.flags.writeable = False
-        object.__setattr__(self, "matrix", m)
-
-    def purity(self) -> float:
-        return float(np.trace(self.matrix @ self.matrix).real)
-
-
-def reduced_density_travel(state: TwoQubitState) -> DensityMatrix2:
-    """Partial trace over the home qubit of a two-qubit state."""
-    _require_two_qubits(state)
-    a = state.amps.reshape(2, 2)  # rows home, columns travel
-    return DensityMatrix2(a.T @ a.conj())
-
-
-def fidelity(a: PureState, b: PureState) -> float:
-    """|<a|b>|^2, insensitive to global phase."""
-    if a.n_qubits != b.n_qubits:
-        raise ValueError("states act on different register sizes")
-    return float(abs(np.vdot(a.amps, b.amps)) ** 2)
 
 
 def discrimination_basis(
@@ -424,15 +378,6 @@ def discrimination_basis(
     plus = _trusted_state(np.ascontiguousarray(eigvecs[:, 1]), 1)
     minus = _trusted_state(np.ascontiguousarray(eigvecs[:, 0]), 1)
     return plus, minus
-
-
-def helstrom_success(s0: PureState, s1: PureState) -> float:
-    """Best achievable probability of naming an equiprobable s0/s1 draw.
-
-    Equals (1 + sqrt(1 - |<s0|s1>|^2)) / 2.
-    """
-    overlap_sq = fidelity(s0, s1)
-    return 0.5 * (1.0 + np.sqrt(max(0.0, 1.0 - overlap_sq)))
 
 
 @dataclass(frozen=True)

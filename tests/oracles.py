@@ -1,0 +1,36 @@
+"""Reference quantities the tests check the package against.
+
+The simulator never needs these: they read a state rather than sample
+it, or build registers wider than a protocol pair.
+"""
+
+import itertools
+
+import numpy as np
+
+from pingpong_qkd.css_qkd import BinaryWord, NestedCodePair, encode
+from pingpong_qkd.quantum_core import BELL_ORDER, PureState, _bell_weights
+
+
+def fidelity(a: PureState, b: PureState) -> float:
+    """|<a|b>|^2, insensitive to global phase."""
+    return float(abs(np.vdot(a.amps, b.amps)) ** 2)
+
+
+def travel_density(state: PureState) -> np.ndarray:
+    """Density matrix of the travel qubit: the partial trace over the home qubit."""
+    a = state.amps.reshape(2, 2)  # rows home, columns travel
+    return a.T @ a.conj()
+
+
+def coset_state(pair: NestedCodePair, x: BinaryWord) -> PureState:
+    """|x + C2>: equal amplitude on x XOR y for every y = encode(C2, message)."""
+    amps = np.zeros(1 << pair.c2.n)
+    for bits in itertools.product((0, 1), repeat=pair.c2.k):
+        amps[int(str(x ^ encode(pair.c2, BinaryWord(bits))), 2)] = 1.0
+    return PureState(amps / np.sqrt(amps.sum()))
+
+
+def bell_probabilities(state: PureState) -> dict:
+    """The weights both Bell samplers draw from, keyed by outcome."""
+    return dict(zip(BELL_ORDER, _bell_weights(state.amps)))

@@ -18,16 +18,18 @@ from pingpong_qkd.css_qkd import (
     BinaryWord,
     Completed,
     NestedCodePair,
-    PositionKind,
     QkdConfig,
     _label_map,
-    assign_positions,
     bundled_code_path,
     coset_key,
     encode,
     load_code,
     run_qkd_block,
     syndrome_decode,
+    _CONTROL,
+    _DECOY,
+    _MESSAGE,
+    _position_kinds,
 )
 from pingpong_qkd.pingpong import DECODE_MAP, control_check, return_leg, send_leg
 from pingpong_qkd.quantum_core import BitFlip, Depolarizing, NoNoise, PhaseFlip
@@ -40,24 +42,24 @@ def word(bits):
 def scalar_block(config, rng, inject_message_flips=0):
     pair, eve, noise = config.pair, config.eve, config.noise
     n = pair.c1.n
-    labels = assign_positions(n, config.m, config.l, rng).labels
+    kinds = _position_kinds(n, config.m, config.l, rng)
     x = rng.integers(0, 2, size=n, dtype=np.uint8)
     v = encode(pair.c1, word(rng.integers(0, 2, size=pair.c1.k, dtype=np.uint8)))
-    legs = [send_leg(eve, noise, rng) for _ in labels]
-    where = {kind: [i for i, k in enumerate(labels) if k is kind] for kind in PositionKind}
-    coincidences = sum(control_check(legs[i][1], rng) for i in where[PositionKind.CONTROL])
+    legs = [send_leg(eve, noise, rng) for _ in kinds]
+    where = {kind: np.flatnonzero(kinds == kind).tolist() for kind in (_MESSAGE, _CONTROL, _DECOY)}
+    coincidences = sum(control_check(legs[i][1], rng) for i in where[_CONTROL])
     if coincidences > config.t:
         return AbortedControl(coincidences)
-    bits = dict.fromkeys(where[PositionKind.DECOY], 0)
-    bits.update(zip(where[PositionKind.MESSAGE], x.tolist()))
+    bits = dict.fromkeys(where[_DECOY], 0)
+    bits.update(zip(where[_MESSAGE], x.tolist()))
     decoded = {}
     for i in sorted(bits):
         record, joint = legs[i]
         decoded[i] = DECODE_MAP[return_leg(joint, bits[i], record, eve, noise, rng)[0]]
-    decoy_ones = sum(decoded[i] for i in where[PositionKind.DECOY])
+    decoy_ones = sum(decoded[i] for i in where[_DECOY])
     if decoy_ones > config.t_prime:
         return AbortedDecoy(decoy_ones)
-    r = np.array([decoded[i] for i in where[PositionKind.MESSAGE]], dtype=np.uint8)
+    r = np.array([decoded[i] for i in where[_MESSAGE]], dtype=np.uint8)
     if inject_message_flips:
         r[rng.choice(n, size=inject_message_flips, replace=False)] ^= 1
     w = word(r ^ x ^ np.array(v.bits, dtype=np.uint8))

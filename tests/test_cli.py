@@ -294,6 +294,14 @@ class TestQkdCommand:
         assert str(c1) in err
         assert "exceeds the 24-bit cap" in err
 
+    def test_block_above_cap_rejected_before_any_block(self, capsys, monkeypatch):
+        def no_block(*args, **kwargs):
+            raise AssertionError("a block ran before its size was rejected")
+
+        monkeypatch.setattr(css_qkd, "run_qkd_block", no_block)
+        assert run_cli("qkd", "--m", "1000000", "--blocks", "1") == 2
+        assert f"exceeds the {css_qkd.MAX_BLOCK_PAIRS}-pair cap" in capsys.readouterr().err
+
     def test_zero_dimension_code_rejected(self, tmp_path, capsys):
         zero = tmp_path / "zero.code"
         zero.write_text("7 0\n")

@@ -6,19 +6,18 @@ import math
 import numpy as np
 import pytest
 
-from pingpong_qkd.attacks import GenericAncilla, MeasureResend
+from oracles import coset_state, fidelity
+from pingpong_qkd.attacks import MeasureResend
 from pingpong_qkd.css_qkd import (
     AbortedControl,
     AbortedDecoy,
     BinaryCode,
     BinaryWord,
     Completed,
+    MAX_BLOCK_PAIRS,
     NestedCodePair,
-    PositionKind,
     QkdConfig,
-    assign_positions,
     bundled_code_path,
-    codeword_superposition,
     contains,
     coset_key,
     encode,
@@ -27,8 +26,12 @@ from pingpong_qkd.css_qkd import (
     run_qkd_block,
     run_qkd_session,
     syndrome_decode,
+    _CONTROL,
+    _DECOY,
+    _MESSAGE,
+    _position_kinds,
 )
-from pingpong_qkd.quantum_core import PhaseFlip, fidelity
+from pingpong_qkd.quantum_core import PhaseFlip
 
 HAMMING_ROWS = ["1000110", "0100101", "0010011", "0001111"]
 DUAL_ROWS = ["1101100", "1011010", "0111001"]
@@ -314,12 +317,9 @@ class TestReedMullerPair:
 class TestCodewordSuperposition:
     def test_uniform_support_on_coset(self, pair, hamming, dual):
         word = all_codewords(hamming)[5]
-        state = codeword_superposition(pair, word)
-        probs = state.probabilities()
+        probs = np.abs(coset_state(pair, word).amps) ** 2
         support = {i for i, p in enumerate(probs) if p > 1e-12}
-        coset = {
-            int(str(word ^ inner), 2) for inner in all_codewords(dual)
-        }
+        coset = {int(str(word ^ inner), 2) for inner in all_codewords(dual)}
         assert support == coset
         np.testing.assert_allclose(
             [probs[i] for i in sorted(support)], [1 / 8] * 8, atol=1e-12
@@ -328,49 +328,39 @@ class TestCodewordSuperposition:
     def test_same_coset_same_state(self, pair, hamming, dual):
         word = all_codewords(hamming)[3]
         shifted = word ^ all_codewords(dual)[5]
-        same = fidelity(
-            codeword_superposition(pair, word), codeword_superposition(pair, shifted)
-        )
+        assert coset_key(pair, word) == coset_key(pair, shifted)
+        same = fidelity(coset_state(pair, word), coset_state(pair, shifted))
         assert same == pytest.approx(1.0, abs=1e-12)
 
     def test_cross_coset_orthogonal(self, pair, hamming):
         words = all_codewords(hamming)
-        a, b = words[0], words[1]
-        if coset_key(pair, a) == coset_key(pair, b):
-            b = next(w for w in words if coset_key(pair, w) != coset_key(pair, a))
-        overlap = fidelity(
-            codeword_superposition(pair, a), codeword_superposition(pair, b)
-        )
+        a = words[0]
+        b = next(w for w in words if coset_key(pair, w) != coset_key(pair, a))
+        overlap = fidelity(coset_state(pair, a), coset_state(pair, b))
         assert overlap == pytest.approx(0.0, abs=1e-12)
 
 
 class TestPositionAssignment:
     def test_exact_counts(self):
-        rng = np.random.default_rng(0)
-        labeling = assign_positions(7, 20, 30, rng)
-        assert labeling.count(PositionKind.MESSAGE) == 7
-        assert labeling.count(PositionKind.CONTROL) == 20
-        assert labeling.count(PositionKind.DECOY) == 30
-        assert len(labeling.labels) == 57
+        kinds = _position_kinds(7, 20, 30, np.random.default_rng(0))
+        assert kinds.size == 57
+        assert [int((kinds == k).sum()) for k in (_MESSAGE, _CONTROL, _DECOY)] == [7, 20, 30]
 
     def test_positions_partition_the_block(self):
-        rng = np.random.default_rng(1)
-        labeling = assign_positions(5, 5, 5, rng)
+        kinds = _position_kinds(5, 5, 5, np.random.default_rng(1))
         combined = sorted(
-            labeling.positions(PositionKind.MESSAGE)
-            + labeling.positions(PositionKind.CONTROL)
-            + labeling.positions(PositionKind.DECOY)
+            int(i) for k in (_MESSAGE, _CONTROL, _DECOY) for i in np.flatnonzero(kinds == k)
         )
         assert combined == list(range(15))
 
     def test_deterministic(self):
-        a = assign_positions(7, 10, 10, np.random.default_rng(5))
-        b = assign_positions(7, 10, 10, np.random.default_rng(5))
-        assert a == b
+        a = _position_kinds(7, 10, 10, np.random.default_rng(5))
+        b = _position_kinds(7, 10, 10, np.random.default_rng(5))
+        assert np.array_equal(a, b)
 
     def test_rejects_zero_counts(self):
         with pytest.raises(ValueError):
-            assign_positions(0, 5, 5, np.random.default_rng(0))
+            _position_kinds(0, 5, 5, np.random.default_rng(0))
 
 
 class TestQkdConfig:
@@ -392,14 +382,20 @@ class TestQkdConfig:
         with pytest.raises(ValueError):
             QkdConfig(pair=pair, m=10, l=10, blocks=0)
 
+    def test_rejects_non_strategy_eve_and_non_model_noise(self, pair):
+        with pytest.raises(TypeError, match="EveStrategy"):
+            QkdConfig(pair=pair, m=5, l=5, eve="measure:theta=1.57")
+        with pytest.raises(TypeError, match="NoiseModel"):
+            QkdConfig(pair=pair, m=5, l=5, noise=MeasureResend(1.0))
+
+    def test_block_size_cap(self, pair):
+        # n + m + l pairs per block, with n = 7 for the Hamming pair
+        QkdConfig(pair=pair, m=MAX_BLOCK_PAIRS - 8, l=1)
+        with pytest.raises(ValueError, match=f"{MAX_BLOCK_PAIRS}-pair cap"):
+            QkdConfig(pair=pair, m=MAX_BLOCK_PAIRS - 7, l=1)
+
 
 class TestRunQkdBlock:
-    def test_generic_ancilla_cannot_run(self, pair):
-        attack = GenericAncilla(math.sqrt(0.8), math.sqrt(0.2))
-        config = QkdConfig(pair=pair, m=5, l=5, eve=attack)
-        with pytest.raises(ValueError, match="generic ancilla"):
-            run_qkd_block(config, np.random.default_rng(0))
-
     def test_clean_block_completes_and_agrees(self, pair):
         config = QkdConfig(pair=pair, m=20, l=20, seed=0)
         for seed in range(10):

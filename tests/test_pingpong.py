@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from pingpong_qkd.attacks import (
-    GenericAncilla,
     MeasureResend,
     NoEve,
     SymmetricEntangle,
@@ -61,6 +60,17 @@ class TestProtocolConfig:
         with pytest.raises(ValueError):
             ProtocolConfig(rounds=10, seed=-1)
 
+    def test_rejects_non_strategy_eve_and_non_model_noise(self):
+        # a spec string is not a strategy, and the unions do not mix
+        with pytest.raises(TypeError, match="EveStrategy"):
+            ProtocolConfig(rounds=2000, eve="measure:theta=1.57")
+        with pytest.raises(TypeError, match="EveStrategy"):
+            ProtocolConfig(rounds=10, eve=BitFlip(0.1))
+        with pytest.raises(TypeError, match="NoiseModel"):
+            ProtocolConfig(rounds=10, noise=0.05)
+        with pytest.raises(TypeError, match="NoiseModel"):
+            ProtocolConfig(rounds=10, noise=MeasureResend(1.0))
+
 
 class TestRunRound:
     def test_clean_control_round_never_coincides(self):
@@ -110,12 +120,6 @@ class TestRunRound:
         for _ in range(300):
             outcome = run_round(config, rng)
             assert outcome.eve.guess_bit == outcome.alice_bit
-
-    def test_generic_ancilla_cannot_run(self):
-        rng = np.random.default_rng(6)
-        attack = GenericAncilla(math.sqrt(0.8), math.sqrt(0.2))
-        with pytest.raises(ValueError):
-            run_round(ProtocolConfig(rounds=1, eve=attack), rng)
 
 
 class TestExpectedReport:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from oracles import bell_probabilities, fidelity, travel_density
 from pingpong_qkd.quantum_core import (
     HOME,
     TRAVEL,
@@ -10,22 +11,19 @@ from pingpong_qkd.quantum_core import (
     BELL_ORDER,
     BitFlip,
     Depolarizing,
-    DensityMatrix2,
     NoNoise,
     PhaseFlip,
     PureState,
+    _bell_weights,
     apply_noise,
     apply_pauli_x,
     apply_pauli_y,
     apply_pauli_z,
     apply_paulis,
     bell_measure,
-    bell_probabilities,
     bell_sample_rows,
     bell_state,
     discrimination_basis,
-    fidelity,
-    helstrom_success,
     measure_computational,
     measure_in_basis,
     measure_rows,
@@ -33,7 +31,6 @@ from pingpong_qkd.quantum_core import (
     noise_paulis,
     prepare_polarized,
     product_state,
-    reduced_density_travel,
 )
 
 INV_SQRT2 = 1.0 / np.sqrt(2.0)
@@ -61,6 +58,10 @@ class TestPureState:
     def test_rejects_non_power_of_two(self):
         with pytest.raises(ValueError):
             PureState([1.0, 0.0, 0.0])
+
+    def test_rejects_nan_amplitude(self):
+        with pytest.raises(ValueError):
+            PureState([np.nan, 0.0])
 
     def test_rejects_oversized_register(self):
         amps = np.zeros(1 << 13)
@@ -101,8 +102,8 @@ class TestBellStates:
 
     def test_reduced_travel_is_maximally_mixed(self):
         for kind in BELL_ORDER:
-            rho = reduced_density_travel(bell_state(kind))
-            np.testing.assert_allclose(rho.matrix, np.eye(2) / 2, atol=1e-12)
+            rho = travel_density(bell_state(kind))
+            np.testing.assert_allclose(rho, np.eye(2) / 2, atol=1e-12)
 
 
 class TestPreparePolarized:
@@ -247,9 +248,9 @@ class TestMeasureInBasis:
         minus = PureState([INV_SQRT2, -INV_SQRT2])
         state = random_state(rng)
         outcome, post = measure_in_basis(state, TRAVEL, (plus, minus), rng)
-        rho = reduced_density_travel(post)
+        rho = travel_density(post)
         target = (plus if outcome == 0 else minus).amps
-        np.testing.assert_allclose(rho.matrix, np.outer(target, target.conj()), atol=1e-12)
+        np.testing.assert_allclose(rho, np.outer(target, target.conj()), atol=1e-12)
 
 
 class TestBellProbabilities:
@@ -292,16 +293,16 @@ class TestBellProbabilities:
             for kind, p in bell_probabilities(rotated).items():
                 assert p == pytest.approx(probs[kind], abs=1e-12)
 
-    def test_rejects_single_qubit_state(self):
-        with pytest.raises(ValueError):
-            bell_probabilities(PureState([1.0, 0.0]))
-
 
 class TestBellMeasure:
     def test_deterministic_on_bell_state(self):
         rng = np.random.default_rng(0)
         for kind in BELL_ORDER:
             assert bell_measure(bell_state(kind), rng) is kind
+
+    def test_rejects_single_qubit_state(self):
+        with pytest.raises(ValueError):
+            bell_measure(PureState([1.0, 0.0]), np.random.default_rng(0))
 
     def test_frequencies_match_probabilities(self):
         rng = np.random.default_rng(77)
@@ -322,26 +323,24 @@ class TestBellMeasure:
 
 class TestReducedDensity:
     def test_product_state_is_pure(self):
+        # product_state puts its second factor on the travel qubit
         plus = PureState([INV_SQRT2, INV_SQRT2])
-        rho = reduced_density_travel(product_state(PureState([1.0, 0.0]), plus))
-        np.testing.assert_allclose(rho.matrix, np.outer(plus.amps, plus.amps.conj()), atol=1e-12)
-        assert rho.purity() == pytest.approx(1.0, abs=1e-12)
-
-    def test_density_matrix_validation(self):
-        with pytest.raises(ValueError):
-            DensityMatrix2(np.array([[0.9, 0.0], [0.0, 0.2]]))
-        with pytest.raises(ValueError):
-            DensityMatrix2(np.array([[0.5, 0.5], [-0.5, 0.5]]))
+        rho = travel_density(product_state(PureState([1.0, 0.0]), plus))
+        np.testing.assert_allclose(rho, np.outer(plus.amps, plus.amps.conj()), atol=1e-12)
+        assert np.trace(rho @ rho).real == pytest.approx(1.0, abs=1e-12)
 
     def test_partial_trace_against_einsum_oracle(self):
+        # the travel marginal that measure_rows samples is the partial trace's diagonal
         rng = np.random.default_rng(15)
         for _ in range(50):
             state = random_state(rng)
             a = state.amps.reshape(2, 2)
             oracle = np.einsum("ht,hu->tu", a, a.conj())
-            np.testing.assert_allclose(
-                reduced_density_travel(state).matrix, oracle, atol=1e-12
-            )
+            np.testing.assert_allclose(travel_density(state), oracle, atol=1e-12)
+            p_one = oracle[1, 1].real
+            u = np.array([p_one - 1e-9, p_one + 1e-9])
+            ones, _ = measure_rows(np.stack([state.amps, state.amps]), TRAVEL, u)
+            assert ones.tolist() == [1, 0]
 
 
 class TestNoise:
@@ -418,13 +417,13 @@ class TestHelstrom:
 
     def test_success_probability_formula(self):
         # distinguishing a polarized state from its z-flipped image:
-        # overlap cos(theta), so success is (1 + sin(theta)) / 2
+        # overlap cos(theta), so the optimal basis succeeds with (1 + sin(theta)) / 2
         for theta in (0.2, np.pi / 3, np.pi / 2):
             s0 = prepare_polarized(theta)
             s1 = apply_pauli_z(s0, 0)
-            assert helstrom_success(s0, s1) == pytest.approx(
-                (1 + np.sin(theta)) / 2, abs=1e-12
-            )
+            plus, minus = discrimination_basis(s0, s1)
+            success = (fidelity(plus, s0) + fidelity(minus, s1)) / 2
+            assert success == pytest.approx((1 + np.sin(theta)) / 2, abs=1e-12)
 
     def test_empirical_success_matches_bound(self):
         rng = np.random.default_rng(9)
@@ -528,6 +527,8 @@ class TestRowKernels:
         outcomes = bell_sample_rows(rows, np.random.default_rng(10).random(self.ROWS))
         rng = np.random.default_rng(10)
         assert [BELL_ORDER[k] for k in outcomes] == [bell_measure(s, rng) for s in states]
+        # both samplers compare against bitwise the same weights
+        assert np.array_equal(_bell_weights(rows), [_bell_weights(s.amps) for s in states])
 
     def test_zero_probability_branch_raises(self):
         # a uniform of 1.0 selects outcome 0 of a travel qubit that is surely 1
