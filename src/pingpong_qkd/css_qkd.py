@@ -9,16 +9,20 @@ key is the coset label of a random codeword v in C1/C2, and single-bit
 channel errors are absorbed by syndrome decoding with C1.
 
 Codes are row-space objects over GF(2).  Words and codes are immutable
-and hashable; derived matrices (parity checks, syndrome tables, coset
-label maps) are cached per code object, and every row reduction goes
-through ``_gf2_eliminate``.
+and hashable, and every row reduction goes through ``_gf2_eliminate``.
+Each code object builds its tables once, on first use, and keeps them
+as attributes: the generator and parity-check matrices, and the dense
+syndrome table of its decoder (``_SyndromeTable``), a coset leader for
+every syndrome.  A nested pair keeps its coset label map the same way.
+``run_qkd_block`` works on these tables with uint8 arrays, and the
+public ``encode``, ``syndrome_decode`` and ``coset_key`` are thin
+wrappers over the same tables, converting ``BinaryWord`` at the edge.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from itertools import combinations
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +31,9 @@ from .attacks import EveStrategy, NoEve
 from .pingpong import _check_channel, control_stage, return_stage, send_stage
 from .quantum_core import NoiseModel, NoNoise
 
-# exhaustive enumeration and syndrome tables are capped at this length
+# exhaustive enumeration and syndrome tables are capped at this length; a
+# syndrome table has 2^(n - k) packed uint32 leaders and as many mask
+# bytes, at most 40 MB
 MAX_CODE_BITS = 24
 
 # cap on the n + m + l pairs of one block; a block peaks near 300 bytes
@@ -78,7 +84,7 @@ def _word_array(word: BinaryWord) -> np.ndarray:
 
 
 def _array_word(arr: np.ndarray) -> BinaryWord:
-    return BinaryWord(tuple(int(b) & 1 for b in arr))
+    return BinaryWord(tuple(arr.tolist()))
 
 
 @dataclass(frozen=True)
@@ -96,8 +102,7 @@ class BinaryCode:
             raise ValueError(f"expected {self.k} generators, got {len(self.generators)}")
         if any(len(g) != self.n for g in self.generators):
             raise ValueError("generator length differs from block length")
-        rows = np.array([g.bits for g in self.generators], dtype=np.uint8)
-        if len(_gf2_eliminate(rows)[1]) != self.k:
+        if len(_gf2_eliminate(self._generator)[1]) != self.k:
             raise ValueError("generators are linearly dependent over GF(2)")
 
     @classmethod
@@ -106,6 +111,20 @@ class BinaryCode:
             raise ValueError("a code needs at least one generator row")
         words = tuple(BinaryWord.from_string(r) for r in rows)
         return cls(n=len(words[0]), k=len(words), generators=words)
+
+    @cached_property
+    def _generator(self) -> np.ndarray:
+        g = np.array([w.bits for w in self.generators], dtype=np.uint8)
+        g.flags.writeable = False
+        return g
+
+    @cached_property
+    def _check(self) -> np.ndarray:
+        return _parity_check(self)
+
+    @cached_property
+    def _decoder(self) -> "_SyndromeTable":
+        return _SyndromeTable(self)
 
 
 def _gf2_eliminate(matrix: np.ndarray) -> tuple[np.ndarray, list[int]]:
@@ -132,21 +151,13 @@ def _gf2_eliminate(matrix: np.ndarray) -> tuple[np.ndarray, list[int]]:
     return m[:r], pivots
 
 
-@lru_cache(maxsize=None)
-def _generator_matrix(code: BinaryCode) -> np.ndarray:
-    g = np.array([w.bits for w in code.generators], dtype=np.uint8)
-    g.flags.writeable = False
-    return g
-
-
-@lru_cache(maxsize=None)
 def _parity_check(code: BinaryCode) -> np.ndarray:
     """Basis of the dual space, as rows h with G h^T = 0.
 
     With G reduced to [I | A] on its pivot columns, H is [A^T | I]:
     one row per free column.
     """
-    rref, pivots = _gf2_eliminate(_generator_matrix(code))
+    rref, pivots = _gf2_eliminate(code._generator)
     free = [c for c in range(code.n) if c not in pivots]
     check = np.zeros((len(free), code.n), dtype=np.uint8)
     check[:, free] = np.eye(len(free), dtype=np.uint8)
@@ -166,22 +177,21 @@ def encode(code: BinaryCode, message: BinaryWord) -> BinaryWord:
     """Generator-matrix encoding: XOR of the generators picked by message bits."""
     if len(message) != code.k:
         raise ValueError(f"message length {len(message)} differs from dimension {code.k}")
-    out = (_word_array(message) @ _generator_matrix(code)) & 1
-    return _array_word(out)
+    return _array_word((_word_array(message) @ code._generator) & 1)
 
 
 def contains(code: BinaryCode, word: BinaryWord) -> bool:
     """True iff the word lies in the code's row space over GF(2)."""
     if len(word) != code.n:
         raise ValueError(f"word length {len(word)} differs from block length {code.n}")
-    return not ((_parity_check(code) @ _word_array(word)) & 1).any()
+    return not ((code._check @ _word_array(word)) & 1).any()
 
 
 def min_distance(code: BinaryCode) -> int:
     """Minimum Hamming weight over the nonzero codewords, by enumeration."""
     if code.n > MAX_CODE_BITS:
         raise ValueError(f"block length {code.n} exceeds the {MAX_CODE_BITS}-bit enumeration cap")
-    g = _generator_matrix(code)
+    g = code._generator
     total = 1 << code.k
     chunk = 1 << 16
     return min(
@@ -190,27 +200,51 @@ def min_distance(code: BinaryCode) -> int:
     )
 
 
-@lru_cache(maxsize=None)
-def _syndrome_table(code: BinaryCode) -> dict[bytes, np.ndarray]:
-    """Coset-leader table for all error patterns the code can correct.
+class _SyndromeTable:
+    """Syndrome decoding of one code, by a dense table of coset leaders.
 
-    Maps syndrome bytes to the minimum-weight error with that syndrome,
-    for weights up to floor((min_distance - 1) / 2).
+    A word's syndrome index is the integer whose bit i is bit i of its
+    syndrome H w, H being ``_parity_check``.  For the syndrome index s
+    of each error within the packing radius floor((d - 1) / 2),
+    ``leaders[s]`` is that error, packed with bit j for position j, and
+    ``correctable[s]`` is True; every other entry is 0 and False.
+    Inside the radius no two errors share a syndrome, since their sum
+    would be a nonzero codeword lighter than d, so the table fills
+    without collisions.
     """
-    if code.n > MAX_CODE_BITS:
-        raise ValueError(f"block length {code.n} exceeds the {MAX_CODE_BITS}-bit enumeration cap")
-    check = _parity_check(code)
-    radius = (min_distance(code) - 1) // 2
-    table: dict[bytes, np.ndarray] = {}
-    for weight in range(radius + 1):
-        for positions in combinations(range(code.n), weight):
-            err = np.zeros(code.n, dtype=np.uint8)
-            err[list(positions)] = 1
-            syndrome = ((check @ err) & 1).tobytes()
-            if syndrome not in table:
-                err.flags.writeable = False
-                table[syndrome] = err
-    return table
+
+    def __init__(self, code: BinaryCode) -> None:
+        if code.n > MAX_CODE_BITS:
+            raise ValueError(
+                f"block length {code.n} exceeds the {MAX_CODE_BITS}-bit enumeration cap"
+            )
+        # n <= 24, so packed words and syndrome indices fit in uint32
+        self.check = np.ascontiguousarray(code._check.T)
+        self.place = 1 << np.arange(self.check.shape[1], dtype=np.uint32)
+        self.positions = np.arange(code.n, dtype=np.uint32)
+        self.leaders = np.zeros(1 << self.check.shape[1], dtype=np.uint32)
+        self.correctable = np.zeros(self.leaders.size, dtype=bool)
+        # the syndrome index of each single-bit error
+        columns = self.check @ self.place
+        bits = 1 << self.positions
+        errors = syndromes = np.zeros(1, dtype=np.uint32)
+        for weight in range(((min_distance(code) - 1) // 2) + 1):
+            if weight:
+                # each error of the last weight, with one bit set above its highest
+                grow = [errors < bit for bit in bits]
+                errors = np.concatenate([errors[g] | bit for g, bit in zip(grow, bits)])
+                syndromes = np.concatenate([syndromes[g] ^ c for g, c in zip(grow, columns)])
+            self.leaders[syndromes] = errors
+            self.correctable[syndromes] = True
+        for table in (self.check, self.place, self.positions, self.leaders, self.correctable):
+            table.flags.writeable = False
+
+    def decode(self, word: np.ndarray) -> np.ndarray | None:
+        """The codeword within the packing radius of a uint8 word, or None."""
+        syndrome = ((word @ self.check) & 1) @ self.place
+        if not self.correctable[syndrome]:
+            return None
+        return word ^ ((self.leaders[syndrome] >> self.positions) & 1)
 
 
 def syndrome_decode(c1: BinaryCode, word: BinaryWord) -> BinaryWord | None:
@@ -221,12 +255,8 @@ def syndrome_decode(c1: BinaryCode, word: BinaryWord) -> BinaryWord | None:
     """
     if len(word) != c1.n:
         raise ValueError(f"word length {len(word)} differs from block length {c1.n}")
-    w = _word_array(word)
-    syndrome = ((_parity_check(c1) @ w) & 1).tobytes()
-    err = _syndrome_table(c1).get(syndrome)
-    if err is None:
-        return None
-    return _array_word(w ^ err)
+    corrected = c1._decoder.decode(_word_array(word))
+    return None if corrected is None else _array_word(corrected)
 
 
 @dataclass(frozen=True)
@@ -251,8 +281,11 @@ class NestedCodePair:
     def key_length(self) -> int:
         return self.c1.k - self.c2.k
 
+    @cached_property
+    def _labels(self) -> np.ndarray:
+        return _label_map(self)
 
-@lru_cache(maxsize=None)
+
 def _label_map(pair: NestedCodePair) -> np.ndarray:
     """The n x (k1 - k2) matrix L whose product (w @ L) & 1 labels any word w.
 
@@ -265,7 +298,7 @@ def _label_map(pair: NestedCodePair) -> np.ndarray:
     """
     n = pair.c1.n
     eye = np.eye(n, dtype=np.uint8)
-    stack = np.concatenate([_generator_matrix(pair.c2), _generator_matrix(pair.c1), eye])
+    stack = np.concatenate([pair.c2._generator, pair.c1._generator, eye])
     basis = stack[_gf2_eliminate(stack.T)[1]]
     inverse = _gf2_eliminate(np.concatenate([basis, eye], axis=1))[0][:, n:]
     labels = inverse[:, pair.c2.k : pair.c1.k].copy()
@@ -281,7 +314,7 @@ def coset_key(pair: NestedCodePair, v: BinaryWord) -> BinaryWord:
     """
     if not contains(pair.c1, v):
         raise ValueError(f"word {v} is not a codeword of the outer code")
-    return _array_word(_word_array(v) @ _label_map(pair))
+    return _array_word((_word_array(v) @ pair._labels) & 1)
 
 
 _MESSAGE, _CONTROL, _DECOY = range(3)
@@ -378,7 +411,9 @@ def run_qkd_block(
     ``pingpong.send_stage``, ``control_stage`` (the control rows) and
     ``return_stage`` (the message and decoy rows), the whole-array forms
     of a session round's legs.  The draw order is set out in the
-    ``pingpong`` module docstring.
+    ``pingpong`` module docstring.  The words stay uint8 arrays through
+    the code tables of ``pair.c1`` and ``pair``; only the two keys are
+    built as ``BinaryWord``.
 
     ``inject_message_flips`` flips that many of Bob's decoded message
     bits at random distinct positions (drawn after decoding), modeling
@@ -390,45 +425,45 @@ def run_qkd_block(
     """
     eve, noise = config.eve, config.noise
     pair = config.pair
-    n = pair.c1.n
+    c1 = pair.c1
+    n = c1.n
     if not 0 <= inject_message_flips <= n:
         raise ValueError(f"cannot flip {inject_message_flips!r} of {n} message bits")
 
     kinds = _position_kinds(n, config.m, config.l, rng)
     x = rng.integers(0, 2, size=n, dtype=np.uint8)
-    v_message = _array_word(rng.integers(0, 2, size=pair.c1.k, dtype=np.uint8))
-    v = encode(pair.c1, v_message)
+    v = (rng.integers(0, 2, size=c1.k, dtype=np.uint8) @ c1._generator) & 1
 
     states, intercept = send_stage(kinds.size, eve, noise, rng)
 
     control = kinds == _CONTROL
-    coincidences = int(control_stage(states[control], rng).sum())
+    coincidences = int(np.count_nonzero(control_stage(states[control], rng)))
     if coincidences > config.t:
         return AbortedControl(coincidences)
 
+    # the returned rows are the message and decoy positions, in order
     returned = ~control
-    sent = np.zeros(kinds.size, dtype=np.uint8)
-    sent[kinds == _MESSAGE] = x
-    decoded = return_stage(
-        states[returned], sent[returned], intercept[returned], eve, noise, rng
-    )
+    message = kinds[returned] == _MESSAGE
+    bits = np.zeros(message.size, dtype=np.uint8)
+    bits[message] = x
+    decoded = return_stage(states[returned], bits, intercept[returned], eve, noise, rng)
 
-    returned_kinds = kinds[returned]
-    decoy_ones = int(decoded[returned_kinds == _DECOY].sum())
+    r = decoded[message]
+    decoy_ones = int(np.count_nonzero(decoded) - np.count_nonzero(r))
     if decoy_ones > config.t_prime:
         return AbortedDecoy(decoy_ones)
 
-    r = decoded[returned_kinds == _MESSAGE]
     if inject_message_flips:
         flips = rng.choice(n, size=inject_message_flips, replace=False)
         r[flips] ^= 1
 
-    announced = x ^ _word_array(v)
-    w = _array_word(r ^ announced)
-    v_hat = syndrome_decode(pair.c1, w)
+    # Bob corrects his string plus the announced x XOR v
+    w = r ^ x ^ v
+    v_hat = c1._decoder.decode(w)
+    labels = pair._labels
     return Completed(
-        alice_key=coset_key(pair, v),
-        bob_key=_array_word(_word_array(w if v_hat is None else v_hat) @ _label_map(pair)),
+        alice_key=_array_word((v @ labels) & 1),
+        bob_key=_array_word(((w if v_hat is None else v_hat) @ labels) & 1),
         decode_failures=int(v_hat is None),
     )
 
@@ -454,26 +489,33 @@ def run_qkd_session(config: QkdConfig) -> QkdSessionReport:
 
     Block i uses its own Generator seeded from (seed, i), so blocks are
     reproducible individually and the aggregate is order-independent.
+    The aggregates are counted as the blocks run; ``results`` keeps
+    every block's result, which the CLI writes out.
     """
     results = []
+    aborted_control = aborted_decoy = completed = agreed = decode_failures = 0
     for i in range(config.blocks):
-        rng = np.random.default_rng([config.seed, i])
-        results.append(run_qkd_block(config, rng))
-    aborted_control = sum(1 for r in results if isinstance(r, AbortedControl))
-    aborted_decoy = sum(1 for r in results if isinstance(r, AbortedDecoy))
-    completed = [r for r in results if isinstance(r, Completed)]
-    agreed = sum(1 for r in completed if r.alice_key == r.bob_key)
+        result = run_qkd_block(config, np.random.default_rng([config.seed, i]))
+        results.append(result)
+        if isinstance(result, AbortedControl):
+            aborted_control += 1
+        elif isinstance(result, AbortedDecoy):
+            aborted_decoy += 1
+        else:
+            completed += 1
+            agreed += result.alice_key == result.bob_key
+            decode_failures += result.decode_failures
     return QkdSessionReport(
         results=tuple(results),
         n_blocks=config.blocks,
         n_aborted_control=aborted_control,
         n_aborted_decoy=aborted_decoy,
-        n_completed=len(completed),
+        n_completed=completed,
         abort_rate=(aborted_control + aborted_decoy) / config.blocks,
         n_agreed=agreed,
-        agreement_rate=agreed / len(completed) if completed else None,
-        total_key_bits=len(completed) * config.pair.key_length,
-        total_decode_failures=sum(r.decode_failures for r in completed),
+        agreement_rate=agreed / completed if completed else None,
+        total_key_bits=completed * config.pair.key_length,
+        total_decode_failures=decode_failures,
     )
 
 

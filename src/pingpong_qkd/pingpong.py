@@ -78,6 +78,7 @@ from .quantum_core import (
     PhaseFlip,
     TwoQubitState,
     apply_noise,
+    apply_pauli_pairs,
     apply_pauli_z,
     apply_paulis,
     bell_measure,
@@ -86,6 +87,7 @@ from .quantum_core import (
     measure_computational,
     measure_in_basis,
     measure_rows,
+    measure_rows_both,
     measure_rows_in_basis,
     noise_paulis,
 )
@@ -102,6 +104,15 @@ DECODE_MAP: dict[BellOutcome, int] = {
 }
 _DECODE_BITS = np.array([DECODE_MAP[kind] for kind in BELL_ORDER], dtype=np.uint8)
 
+
+# |psi-> with each Pauli applied to its travel qubit, in Pauli-index order:
+# the outgoing pair as it leaves a Pauli-noise channel
+_SENT = apply_paulis(
+    np.repeat(bell_state(BellOutcome.PSI_MINUS).amps[None, :], 4, axis=0),
+    np.arange(4),
+    TRAVEL,
+)
+_SENT.flags.writeable = False
 
 # the record of a round in which the eavesdropper learned nothing;
 # records are frozen, so every such round shares this one
@@ -256,9 +267,8 @@ def send_stage(
     if isinstance(eve, SymmetricEntangle):
         # the noise column is drawn, but the substitution discards the pair
         return np.repeat(omega_state(eve.alpha).amps[None, :], rows, axis=0), intercept
-    states = np.repeat(bell_state(BellOutcome.PSI_MINUS).amps[None, :], rows, axis=0)
-    if not isinstance(noise, NoNoise):
-        states = apply_paulis(states, noise_paulis(noise, u[:, 0]), TRAVEL)
+    paulis = np.full(rows, PAULI_I) if isinstance(noise, NoNoise) else noise_paulis(noise, u[:, 0])
+    states = _SENT[paulis]
     if intercepting:
         intercept, collapsed = measure_rows(states, TRAVEL, u[:, -1])
         # the collapsed home qubit, times the resent qubit
@@ -270,9 +280,7 @@ def send_stage(
 
 def control_stage(states: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """``control_check`` for every row: True where the two results coincide."""
-    u = rng.random((states.shape[0], 2))
-    alice, states = measure_rows(states, TRAVEL, u[:, 0])
-    bob, _ = measure_rows(states, HOME, u[:, 1])
+    alice, bob = measure_rows_both(states, rng.random((states.shape[0], 2)))
     return alice == bob
 
 
@@ -284,13 +292,13 @@ def return_stage(
     noise: NoiseModel,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """``return_leg`` for every row, encoding ``bits``; returns Bob's decoded bits."""
+    """``return_leg`` for every row, encoding ``bits`` (0 or 1); returns Bob's decoded bits."""
     rows = states.shape[0]
     intercepting = isinstance(eve, MeasureResend)
     u = rng.random((rows, _noise_draws(noise) + intercepting + 1))
-    states = apply_paulis(states, np.where(bits == 1, PAULI_Z, PAULI_I), TRAVEL)
-    if not isinstance(noise, NoNoise):
-        states = apply_paulis(states, noise_paulis(noise, u[:, 0]), TRAVEL)
+    # the encoding Z and then the return noise, as one gather
+    noise_pauli = PAULI_I if isinstance(noise, NoNoise) else noise_paulis(noise, u[:, 0])
+    states = apply_pauli_pairs(states, PAULI_Z * bits, noise_pauli, TRAVEL)
     if intercepting:
         # without a basis (theta = 0) the column is the coin, which
         # leaves the pair alone

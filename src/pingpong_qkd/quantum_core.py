@@ -9,12 +9,16 @@ state can be shared safely between threads once constructed.
 Randomness always comes from an explicit numpy Generator passed by the
 caller, never from module-level state.
 
-The row kernels (``apply_paulis``, ``measure_rows``,
-``measure_rows_in_basis``, ``bell_sample_rows``) act on a (rows, 4)
-complex array holding one two-qubit pair per row, in the same basis
-order.  They take one uniform per row from the caller and compare it
-with the Born weight exactly as the single-state kernels compare their
-own draw, so the same uniforms give the same outcomes.
+The row kernels (``apply_paulis``, ``apply_pauli_pairs``,
+``measure_rows``, ``measure_rows_both``, ``measure_rows_in_basis``,
+``bell_sample_rows``) act on a (rows, 4) complex array holding one
+two-qubit pair per row, in the same basis order.  They take one uniform
+per row and measurement from the caller and compare it with the Born
+weight exactly as the single-state kernels compare their own draw, so
+the same uniforms give the same outcomes.  The one exception is the
+second outcome of ``measure_rows_both``: its conditional weight is a
+quotient of Born weights rather than the weight of a renormalized row,
+which can differ in the last bit.
 """
 
 from __future__ import annotations
@@ -283,6 +287,31 @@ def apply_paulis(states: np.ndarray, paulis: np.ndarray, qubit: int) -> np.ndarr
 
 
 @lru_cache(maxsize=None)
+def _pauli_pair_tables(qubit: int) -> tuple[np.ndarray, np.ndarray]:
+    # entry [a, b]: Pauli a and then Pauli b on one qubit of a pair, as
+    # one index gather and one phase; the phases are all 1, -1, i or -i,
+    # so folding them into one product rounds nothing
+    perm, phase = _pauli_tables(qubit)
+    both_perm = perm[:, perm]
+    both_phase = phase[:, perm] * phase[None]
+    both_perm.flags.writeable = False
+    both_phase.flags.writeable = False
+    return both_perm, both_phase
+
+
+def apply_pauli_pairs(
+    states: np.ndarray, first: np.ndarray, second: np.ndarray | int, qubit: int
+) -> np.ndarray:
+    """Apply Pauli ``first[r]`` and then ``second[r]`` to ``qubit`` of row r.
+
+    The same amplitudes as two ``apply_paulis`` calls, from one gather.
+    """
+    perm, phase = _pauli_pair_tables(qubit)
+    rows = np.arange(states.shape[0])[:, None]
+    return states[rows, perm[first, second]] * phase[first, second]
+
+
+@lru_cache(maxsize=None)
 def _one_columns(qubit: int) -> tuple[np.ndarray, int, int]:
     # the mask of the indices where the qubit is 1, and those two indices
     one = _bit_values(2, qubit) == 1
@@ -292,7 +321,7 @@ def _one_columns(qubit: int) -> tuple[np.ndarray, int, int]:
 
 
 def _check_branches(p_outcome: np.ndarray) -> None:
-    if (p_outcome <= 0.0).any():
+    if np.count_nonzero(p_outcome <= 0.0):
         raise RuntimeError("sampled a zero-probability branch")
 
 
@@ -312,6 +341,30 @@ def measure_rows(
     _check_branches(p_outcome)
     collapsed = np.where(one == ones[:, None], states, 0.0) / np.sqrt(p_outcome)[:, None]
     return ones.astype(np.intp), collapsed
+
+
+def measure_rows_both(states: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``measure_rows`` of the travel qubit, then of the home qubit, in every row.
+
+    The travel outcome is 1 where ``u[:, 0]`` < P(1), as in
+    ``measure_rows``; the home outcome is 1 where ``u[:, 1]`` is below
+    the home qubit's P(1) given that travel outcome.  Both come from the
+    one array of Born weights, with no collapsed rows built.  Returns
+    the (travel, home) outcome bits.
+    """
+    _, low, high = _one_columns(TRAVEL)
+    probs = np.abs(states) ** 2
+    p_one = probs[:, low] + probs[:, high]
+    travel = u[:, 0] < p_one
+    p_travel = np.where(travel, p_one, 1.0 - p_one)
+    _check_branches(p_travel)
+    # the home qubit is 1 at index home_low with the travel qubit 0 and
+    # at home_high with it 1
+    _, home_low, home_high = _one_columns(HOME)
+    p_home = np.where(travel, probs[:, home_high], probs[:, home_low]) / p_travel
+    home = u[:, 1] < p_home
+    _check_branches(np.where(home, p_home, 1.0 - p_home))
+    return travel.astype(np.intp), home.astype(np.intp)
 
 
 def measure_rows_in_basis(

@@ -1,13 +1,14 @@
 """Tests for GF(2) codes, coset keys, and the coded key-distribution flow."""
 
+import hashlib
 import itertools
 import math
 
 import numpy as np
 import pytest
 
-from oracles import coset_state, fidelity
-from pingpong_qkd.attacks import MeasureResend
+from oracles import coset_state, fidelity, nearest_codewords
+from pingpong_qkd.attacks import MeasureResend, NoEve, SymmetricEntangle
 from pingpong_qkd.css_qkd import (
     AbortedControl,
     AbortedDecoy,
@@ -31,10 +32,13 @@ from pingpong_qkd.css_qkd import (
     _MESSAGE,
     _position_kinds,
 )
-from pingpong_qkd.quantum_core import PhaseFlip
+from pingpong_qkd.quantum_core import BitFlip, Depolarizing, NoNoise, PhaseFlip
 
 HAMMING_ROWS = ["1000110", "0100101", "0010011", "0001111"]
 DUAL_ROWS = ["1101100", "1011010", "0111001"]
+
+# recorded before the coded block decoded through the dense syndrome table
+SEEDED_REPORTS_SHA256 = "1ed5310896cc4bbcca8d887ad214b0148169d5f5ce4180459d73b1639a46a13e"
 
 
 @pytest.fixture(scope="module")
@@ -175,12 +179,14 @@ class TestSyndromeDecode:
                 flipped = word ^ BinaryWord(tuple(int(i == pos) for i in range(7)))
                 assert syndrome_decode(hamming, flipped) == word
 
-    def test_all_words_against_nearest_codeword_oracle(self, hamming):
-        codewords = all_codewords(hamming)
+    def test_all_words_against_nearest_codeword_oracle(self):
+        # the bundled outer code, as the coded protocol loads it
+        bundled = load_code(bundled_code_path("hamming74"))
+        codewords = all_codewords(bundled)
         for value in range(128):
             word = BinaryWord.from_string(format(value, "07b"))
             best = min((word ^ c).weight() for c in codewords)
-            decoded = syndrome_decode(hamming, word)
+            decoded = syndrome_decode(bundled, word)
             if best <= 1:
                 # unique nearest codeword inside the correction radius
                 nearest = [c for c in codewords if (word ^ c).weight() == best]
@@ -275,27 +281,12 @@ class TestReedMullerPair:
         assert str(coset_key(rm_pair, BinaryWord.zero(16))) == "000000"
 
     def test_decoder_matches_nearest_codeword_oracle(self, rm_pair):
+        # every word of GF(2)^16: the one codeword within distance 1, or a
+        # reported failure
         c1 = rm_pair.c1
-        codewords = all_codewords(c1)
-        table = np.array([w.bits for w in codewords], dtype=np.uint8)
-        rng = np.random.default_rng(4)
-        sampled = [codewords[i] for i in rng.choice(len(codewords), size=40, replace=False)]
-        probes = []
-        for word in sampled:
-            for pos in range(16):
-                flipped = word ^ BinaryWord(tuple(int(i == pos) for i in range(16)))
-                assert syndrome_decode(c1, flipped) == word
-                probes.append(flipped)
-        probes += [BinaryWord(tuple(int(b) for b in rng.integers(0, 2, 16))) for _ in range(200)]
-        for word in probes:
-            distances = (table ^ np.array(word.bits, dtype=np.uint8)).sum(axis=1)
-            nearest = np.flatnonzero(distances == distances.min())
-            decoded = syndrome_decode(c1, word)
-            if distances.min() <= 1:
-                assert len(nearest) == 1
-                assert decoded == codewords[nearest[0]]
-            else:
-                assert decoded is None
+        for value, nearest in enumerate(nearest_codewords(all_codewords(c1))):
+            word = BinaryWord.from_string(format(value, "016b"))
+            assert syndrome_decode(c1, word) == nearest
 
     @pytest.mark.parametrize(
         "word, key",
@@ -502,6 +493,30 @@ class TestRunQkdSession:
         assert report.agreement_rate is None
         assert report.abort_rate == 1.0
         assert report.total_key_bits == 0
+
+    def test_seeded_reports_are_pinned(self, pair, rm_pair):
+        # the sha256 of the reports' repr over an attack x noise grid, on
+        # both code pairs with default and loose thresholds; any change to
+        # a draw, an outcome, a decode or a key label moves it
+        attacks = [
+            NoEve(),
+            MeasureResend(math.pi / 3),
+            MeasureResend(0.0),
+            MeasureResend(math.pi / 2),
+            SymmetricEntangle(0.3),
+        ]
+        noises = [NoNoise(), BitFlip(0.1), PhaseFlip(0.1), Depolarizing(0.05), Depolarizing(0.5)]
+        digest = hashlib.sha256()
+        for code_pair in (pair, rm_pair):
+            for eve in attacks:
+                for noise in noises:
+                    for thresholds in ({}, {"t": 20, "t_prime": 20}):
+                        config = QkdConfig(
+                            pair=code_pair, m=20, l=20, blocks=10, eve=eve, noise=noise,
+                            seed=3, **thresholds,
+                        )
+                        digest.update(repr(run_qkd_session(config)).encode())
+        assert digest.hexdigest() == SEEDED_REPORTS_SHA256
 
 
 class TestCodeFiles:

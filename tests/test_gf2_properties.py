@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 from hypothesis.configuration import set_hypothesis_home_dir  # noqa: E402
 from hypothesis.extra.numpy import arrays  # noqa: E402
 
+from oracles import nearest_codewords  # noqa: E402
 from pingpong_qkd.css_qkd import (  # noqa: E402
     BinaryCode,
     BinaryWord,
@@ -106,13 +107,10 @@ def test_coset_key_labels_each_coset_once(pair):
 
 @PROPERTY
 @given(nested_pairs())
-def test_decoder_corrects_every_error_within_the_radius(pair):
+def test_decoder_matches_nearest_codeword_search_on_every_word(pair):
+    # inside the packing radius the decode is the one codeword there;
+    # beyond it the table reports failure
     c1 = pair.c1
-    words = codewords(c1)
-    radius = (min(w.weight() for w in words if w.weight()) - 1) // 2
-    # the radius balls are disjoint, so this makes at most 2^n decodes
-    for word in words:
-        for weight in range(radius + 1):
-            for flips in itertools.combinations(range(c1.n), weight):
-                error = BinaryWord(tuple(int(i in flips) for i in range(c1.n)))
-                assert syndrome_decode(c1, word ^ error) == word
+    for value, nearest in enumerate(nearest_codewords(codewords(c1))):
+        word = BinaryWord.from_string(format(value, f"0{c1.n}b"))
+        assert syndrome_decode(c1, word) == nearest

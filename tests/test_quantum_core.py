@@ -4,8 +4,12 @@ import numpy as np
 import pytest
 
 from oracles import bell_probabilities, fidelity, travel_density
+from pingpong_qkd.attacks import NoEve
+from pingpong_qkd.pingpong import DECODE_MAP, return_stage, send_stage
 from pingpong_qkd.quantum_core import (
     HOME,
+    PAULI_I,
+    PAULI_Z,
     TRAVEL,
     BellOutcome,
     BELL_ORDER,
@@ -18,6 +22,7 @@ from pingpong_qkd.quantum_core import (
     apply_noise,
     apply_pauli_x,
     apply_pauli_y,
+    apply_pauli_pairs,
     apply_pauli_z,
     apply_paulis,
     bell_measure,
@@ -27,6 +32,7 @@ from pingpong_qkd.quantum_core import (
     measure_computational,
     measure_in_basis,
     measure_rows,
+    measure_rows_both,
     measure_rows_in_basis,
     noise_paulis,
     prepare_polarized,
@@ -34,6 +40,9 @@ from pingpong_qkd.quantum_core import (
 )
 
 INV_SQRT2 = 1.0 / np.sqrt(2.0)
+
+# the decoded bit of each Bell outcome, by index in BELL_ORDER
+DECODE_BITS = np.array([DECODE_MAP[kind] for kind in BELL_ORDER])
 
 # Bell kets written out independently of the implementation, used as the
 # brute-force change-of-basis oracle
@@ -530,6 +539,50 @@ class TestRowKernels:
         # both samplers compare against bitwise the same weights
         assert np.array_equal(_bell_weights(rows), [_bell_weights(s.amps) for s in states])
 
+    def test_apply_pauli_pairs_matches_two_apply_paulis(self):
+        # every phase is 1, -1, i or -i, so the one gather is exact
+        _, rows = self.pairs(11)
+        first, second = np.random.default_rng(12).integers(4, size=(2, self.ROWS))
+        for qubit in (HOME, TRAVEL):
+            expected = apply_paulis(apply_paulis(rows, first, qubit), second, qubit)
+            np.testing.assert_array_equal(apply_pauli_pairs(rows, first, second, qubit), expected)
+
+    def test_measure_rows_both_matches_measure_rows_twice(self):
+        _, rows = self.pairs(13)
+        u = np.random.default_rng(14).random((self.ROWS, 2))
+        travel, home = measure_rows_both(rows, u)
+        expected_travel, collapsed = measure_rows(rows, TRAVEL, u[:, 0])
+        expected_home, _ = measure_rows(collapsed, HOME, u[:, 1])
+        np.testing.assert_array_equal(travel, expected_travel)
+        np.testing.assert_array_equal(home, expected_home)
+
+    @pytest.mark.parametrize(
+        "model",
+        [NoNoise(), BitFlip(0.3), PhaseFlip(0.3), Depolarizing(0.6), Depolarizing(1.0)],
+        ids=repr,
+    )
+    def test_stages_match_the_kernel_compositions(self, model):
+        # send_stage gathers |psi-> under each Pauli from a table, and
+        # return_stage applies the encoding Z and the noise as one gather;
+        # fed the same uniforms, both match the per-Pauli compositions
+        noisy = not isinstance(model, NoNoise)
+        psi = np.repeat(bell_state(BellOutcome.PSI_MINUS).amps[None, :], self.ROWS, axis=0)
+        u = np.random.default_rng(15).random((self.ROWS, int(noisy)))
+        paulis = noise_paulis(model, u[:, 0]) if noisy else np.zeros(self.ROWS, dtype=int)
+        sent, _ = send_stage(self.ROWS, NoEve(), model, np.random.default_rng(15))
+        np.testing.assert_array_equal(sent, apply_paulis(psi, paulis, TRAVEL))
+
+        _, rows = self.pairs(16)
+        bits = np.random.default_rng(17).integers(2, size=self.ROWS).astype(np.uint8)
+        u = np.random.default_rng(18).random((self.ROWS, int(noisy) + 1))
+        encoded = apply_paulis(rows, np.where(bits == 1, PAULI_Z, PAULI_I), TRAVEL)
+        if noisy:
+            encoded = apply_paulis(encoded, noise_paulis(model, u[:, 0]), TRAVEL)
+        expected = DECODE_BITS[bell_sample_rows(encoded, u[:, -1])]
+        zeros = np.zeros(self.ROWS, dtype=int)
+        got = return_stage(rows, bits, zeros, NoEve(), model, np.random.default_rng(18))
+        np.testing.assert_array_equal(got, expected)
+
     def test_zero_probability_branch_raises(self):
         # a uniform of 1.0 selects outcome 0 of a travel qubit that is surely 1
         rows = np.array([[0.0, 1.0, 0.0, 0.0]], dtype=complex)
@@ -538,3 +591,9 @@ class TestRowKernels:
         basis = (prepare_polarized(0.0), prepare_polarized(np.pi))
         with pytest.raises(RuntimeError, match="zero-probability"):
             measure_rows_in_basis(rows, TRAVEL, basis, np.array([1.0]))
+        with pytest.raises(RuntimeError, match="zero-probability"):
+            measure_rows_both(rows, np.array([[1.0, 0.5]]))
+        # the travel qubit is surely 0 and the home qubit surely 1
+        rows = np.array([[0.0, 0.0, 1.0, 0.0]], dtype=complex)
+        with pytest.raises(RuntimeError, match="zero-probability"):
+            measure_rows_both(rows, np.array([[0.5, 1.0]]))
