@@ -34,6 +34,12 @@ from .quantum_core import (
 # the bound; accept within this grace and clamp to the exact domain
 _ANGLE_TOL = 1e-4
 
+# entries kept by each cache keyed by an attack angle.  A state keeps
+# what the kernels derived from it, so these caches hold every state an
+# angle's rounds reach; evicting an angle frees them, and memory stays
+# bounded over a sweep of angles.
+_ANGLE_CACHE = 64
+
 
 def _canonical_angle(value: float, hi: float, what: str) -> float:
     if not -_ANGLE_TOL <= value <= hi + _ANGLE_TOL:
@@ -87,7 +93,12 @@ class EveRecord:
     guess_bit: int | None = None
 
 
-@lru_cache(maxsize=None)
+# the record of an interception, by its outcome; records are frozen, so
+# every round shares one of these
+_INTERCEPTED = (EveRecord(intercept_bit=0), EveRecord(intercept_bit=1))
+
+
+@lru_cache(maxsize=_ANGLE_CACHE)
 def resend_state(theta: float, intercept_bit: int) -> PureState:
     """Qubit substituted for intercept outcome ``intercept_bit``.
 
@@ -109,15 +120,24 @@ def intercept_resend(
     """Measure the travel qubit in the computational basis and substitute.
 
     Returns the eavesdropper record and the post-attack pair, which is a
-    product of the collapsed home qubit with the resent qubit.
+    product of the collapsed home qubit with the resent qubit.  Both are
+    shared: one record per outcome, one pair per collapsed state, angle
+    and outcome.
     """
     bit, collapsed = measure_computational(joint, TRAVEL, rng)
+    return _INTERCEPTED[bit], _forged(collapsed, theta, bit)
+
+
+@lru_cache(maxsize=_ANGLE_CACHE)
+def _forged(collapsed: TwoQubitState, theta: float, bit: int) -> TwoQubitState:
+    # the collapsed home qubit times the resent qubit.  The key holds the
+    # collapsed state by identity, which is stable: the memo of the pair
+    # it collapsed from returns the same object every round.
     home = _trusted_state(np.ascontiguousarray(collapsed.amps.reshape(2, 2)[:, bit]), 1)
-    forged = product_state(home, resend_state(theta, bit))
-    return EveRecord(intercept_bit=bit), forged
+    return product_state(home, resend_state(theta, bit))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_ANGLE_CACHE)
 def return_discrimination_basis(
     theta: float, intercept_bit: int
 ) -> tuple[PureState, PureState] | None:
@@ -132,6 +152,7 @@ def return_discrimination_basis(
     return discrimination_basis(s0, s1)
 
 
+@lru_cache(maxsize=_ANGLE_CACHE)
 def omega_state(alpha: float) -> TwoQubitState:
     """Pair state cos(alpha)|psi-> + sin(alpha)|phi+> left by the symmetric attack."""
     alpha = _canonical_angle(alpha, np.pi / 4.0, "mixing angle")

@@ -99,6 +99,10 @@ def detection_threshold(tolerance: float = 1e-6) -> float:
     return 0.5 * (lo + hi)
 
 
+# the field that counts each pair of bits, indexed [a][b]
+_CELLS = (("c00", "c01"), ("c10", "c11"))
+
+
 @dataclass
 class JointCounts2x2:
     """Mutable 2x2 contingency table of paired bit observations."""
@@ -111,7 +115,7 @@ class JointCounts2x2:
     def add(self, a: int, b: int) -> None:
         if a not in (0, 1) or b not in (0, 1):
             raise ValueError(f"counts index bits, got ({a!r}, {b!r})")
-        name = f"c{a}{b}"
+        name = _CELLS[int(a)][int(b)]
         setattr(self, name, getattr(self, name) + 1)
 
     def total(self) -> int:

@@ -2,9 +2,33 @@
 
 States are dense complex statevectors over n qubits with qubit 0 as the
 most significant index bit: for two qubits the basis order is
-|00>, |01>, |10>, |11> with the first (home) qubit leftmost.  All
-operations return new states; amplitude arrays are frozen read-only so a
-state can be shared safely between threads once constructed.
+|00>, |01>, |10>, |11> with the first (home) qubit leftmost.  States
+are immutable: amplitude arrays are frozen read-only, and a kernel never
+changes the state it is given.  A kernel may return a shared state
+rather than a new one.  Each state keeps, in a private memo, what the
+single-state kernels derived from it, filled on first use:
+
+* ``apply_pauli_x``/``_y``/``_z``: the image, keyed by kernel and qubit;
+* ``measure_computational``: P(1), keyed by qubit, and each collapsed
+  state, built the first time its outcome is drawn;
+* ``measure_in_basis``: P(1) and the collapsed states for the last basis
+  used on that qubit (a call in another basis replaces them);
+* ``bell_measure``: the cumulative Bell weights.
+
+Every call still draws its own uniform and compares it with the same
+float an uncached computation gives, so outcomes and amplitudes do not
+depend on what was cached.  The zero-probability and width checks run
+on every call, and invalid qubits and bases are never cached, so they
+raise on every call.  The memo is bounded: it holds a fixed set of keys,
+and a state more than ``_MEMO_DEPTH`` kernel steps from one built
+directly keeps no successor states, so a loop that feeds each result
+back into a kernel cannot chain an unbounded number of states to a
+long-lived one.  A state lives as long as whatever refers to it; the
+attack states of each angle sit under fixed-size caches in ``attacks``.
+Sharing between threads stays safe: a memo entry is a pure function of
+the immutable amplitudes, stored by one dict assignment, so two threads
+that fill the same entry at once store equal values and either one is
+correct.
 
 Randomness always comes from an explicit numpy Generator passed by the
 caller, never from module-level state.
@@ -23,6 +47,7 @@ which can differ in the last bit.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -40,10 +65,16 @@ NORM_TOL = 1e-12
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
 
+# a state this many kernel steps from one built directly keeps no
+# successor states; a session round takes at most three steps from
+# |psi-> or from a forged pair
+_MEMO_DEPTH = 3
+
+
 class PureState:
     """Immutable normalized statevector on ``n_qubits`` qubits."""
 
-    __slots__ = ("amps", "n_qubits")
+    __slots__ = ("amps", "n_qubits", "_memo", "_depth")
 
     def __init__(self, amps) -> None:
         arr = np.array(amps, dtype=np.complex128)
@@ -61,6 +92,8 @@ class PureState:
         arr.flags.writeable = False
         self.amps = arr
         self.n_qubits = n
+        self._memo = {}
+        self._depth = 0
 
     def __repr__(self) -> str:
         return f"PureState({np.array2string(self.amps, precision=6)})"
@@ -71,13 +104,24 @@ class PureState:
 TwoQubitState = PureState
 
 
-def _trusted_state(amps: np.ndarray, n_qubits: int) -> PureState:
+def _trusted_state(amps: np.ndarray, n_qubits: int, depth: int = 0) -> PureState:
     # internal constructor for amplitudes already known to be normalized
     state = object.__new__(PureState)
     amps.flags.writeable = False
     state.amps = amps
     state.n_qubits = n_qubits
+    state._memo = {}
+    state._depth = depth
     return state
+
+
+def _successor(state: PureState, key, amps: np.ndarray) -> PureState:
+    # the state a kernel derived from ``state``, kept in its memo under
+    # ``key`` unless ``state`` lies too deep
+    new = _trusted_state(amps, state.n_qubits, state._depth + 1)
+    if state._depth < _MEMO_DEPTH:
+        state._memo[key] = new
+    return new
 
 
 def _require_two_qubits(state: PureState) -> None:
@@ -156,6 +200,7 @@ def _flip_index(n_qubits: int, qubit: int) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def _bit_values(n_qubits: int, qubit: int) -> np.ndarray:
+    _bit_mask(n_qubits, qubit)  # rejects a qubit outside the register
     shift = n_qubits - 1 - qubit
     bits = (np.arange(1 << n_qubits) >> shift) & 1
     bits.flags.writeable = False
@@ -164,23 +209,32 @@ def _bit_values(n_qubits: int, qubit: int) -> np.ndarray:
 
 def apply_pauli_x(state: PureState, qubit: int) -> PureState:
     """Bit flip X on one qubit."""
-    new = state.amps[_flip_index(state.n_qubits, qubit)].copy()
-    return _trusted_state(new, state.n_qubits)
+    key = ("x", qubit)
+    image = state._memo.get(key)
+    if image is None:
+        image = _successor(state, key, state.amps[_flip_index(state.n_qubits, qubit)].copy())
+    return image
 
 
 def apply_pauli_y(state: PureState, qubit: int) -> PureState:
     """Pauli Y on one qubit: Y|0> = i|1>, Y|1> = -i|0>."""
-    bits = _bit_values(state.n_qubits, qubit)
-    phase = np.where(bits == 1, 1j, -1j)
-    new = state.amps[_flip_index(state.n_qubits, qubit)] * phase
-    return _trusted_state(new, state.n_qubits)
+    key = ("y", qubit)
+    image = state._memo.get(key)
+    if image is None:
+        phase = np.where(_bit_values(state.n_qubits, qubit) == 1, 1j, -1j)
+        new = state.amps[_flip_index(state.n_qubits, qubit)] * phase
+        image = _successor(state, key, new)
+    return image
 
 
 def apply_pauli_z(state: PureState, qubit: int) -> PureState:
     """Phase flip Z on one qubit: negates amplitudes where the qubit is 1."""
-    bits = _bit_values(state.n_qubits, qubit)
-    new = np.where(bits == 1, -state.amps, state.amps)
-    return _trusted_state(new, state.n_qubits)
+    key = ("z", qubit)
+    image = state._memo.get(key)
+    if image is None:
+        bits = _bit_values(state.n_qubits, qubit)
+        image = _successor(state, key, np.where(bits == 1, -state.amps, state.amps))
+    return image
 
 
 def measure_computational(
@@ -190,16 +244,30 @@ def measure_computational(
 
     Returns the sampled outcome bit and the renormalized collapsed state.
     """
-    bits = _bit_values(state.n_qubits, qubit)
-    probs = np.abs(state.amps) ** 2
-    p_one = float(probs[bits == 1].sum())
+    memo = state._memo
+    p_one = memo.get(("p1", qubit))
+    if p_one is None:
+        probs = np.abs(state.amps) ** 2
+        p_one = float(probs[_bit_values(state.n_qubits, qubit) == 1].sum())
+        memo[("p1", qubit)] = p_one
     outcome = 1 if rng.random() < p_one else 0
     p_outcome = p_one if outcome == 1 else 1.0 - p_one
     if p_outcome <= 0.0:
         raise RuntimeError("sampled a zero-probability branch")
-    keep = bits == outcome
-    new = np.where(keep, state.amps, 0.0) / np.sqrt(p_outcome)
-    return outcome, _trusted_state(new, state.n_qubits)
+    key = ("collapsed", qubit, outcome)
+    collapsed = memo.get(key)
+    if collapsed is None:
+        keep = _bit_values(state.n_qubits, qubit) == outcome
+        collapsed = _successor(state, key, np.where(keep, state.amps, 0.0) / np.sqrt(p_outcome))
+    return outcome, collapsed
+
+
+def _basis_coefficients(state: PureState, qubit: int, b: PureState) -> np.ndarray:
+    # <b| on the measured qubit, with the amplitudes grouped as (prefix,
+    # measured qubit, suffix) so the projection is two slice contractions
+    # instead of a full tensor transpose
+    view = state.amps.reshape(-1, 2, 1 << (state.n_qubits - 1 - qubit))
+    return b.amps[0].conjugate() * view[:, 0, :] + b.amps[1].conjugate() * view[:, 1, :]
 
 
 def measure_in_basis(
@@ -213,32 +281,38 @@ def measure_in_basis(
     ``basis`` is a pair of single-qubit states with mutual overlap below
     1e-10.  Returns (index of the basis state found, collapsed register).
     """
-    b0, b1 = basis
-    if b0.n_qubits != 1 or b1.n_qubits != 1:
-        raise ValueError("basis states must be single qubits")
-    if abs(np.vdot(b0.amps, b1.amps)) > 1e-10:
-        raise ValueError("basis states are not orthogonal")
-    n = state.n_qubits
-    if not 0 <= qubit < n:
-        raise ValueError(f"qubit {qubit} outside register of {n}")
-    # group amplitudes as (prefix, measured qubit, suffix) so the projection
-    # is two slice contractions instead of a full tensor transpose
-    inner = 1 << (n - 1 - qubit)
-    view = state.amps.reshape(-1, 2, inner)
-    lo, hi = view[:, 0, :], view[:, 1, :]
-    coeff0 = b0.amps[0].conjugate() * lo + b0.amps[1].conjugate() * hi
-    coeff1 = b1.amps[0].conjugate() * lo + b1.amps[1].conjugate() * hi
-    p_one = float(np.sum(np.abs(coeff1) ** 2))
+    memo = state._memo
+    key = ("basis", qubit)
+    cached = memo.get(key)
+    if cached is None or cached[0] != basis:
+        b0, b1 = basis
+        if b0.n_qubits != 1 or b1.n_qubits != 1:
+            raise ValueError("basis states must be single qubits")
+        if abs(np.vdot(b0.amps, b1.amps)) > 1e-10:
+            raise ValueError("basis states are not orthogonal")
+        n = state.n_qubits
+        if not 0 <= qubit < n:
+            raise ValueError(f"qubit {qubit} outside register of {n}")
+        p_one = float(np.sum(np.abs(_basis_coefficients(state, qubit, b1)) ** 2))
+        cached = memo[key] = ((b0, b1), p_one)
+        # the collapsed states belong to the basis this one replaces
+        memo.pop(("basis", qubit, 0), None)
+        memo.pop(("basis", qubit, 1), None)
+    basis, p_one = cached
     outcome = 1 if rng.random() < p_one else 0
-    coeff, b = (coeff1, b1) if outcome == 1 else (coeff0, b0)
     p_outcome = p_one if outcome == 1 else 1.0 - p_one
     if p_outcome <= 0.0:
         raise RuntimeError("sampled a zero-probability branch")
-    scaled = coeff / np.sqrt(p_outcome)
-    collapsed = np.empty(view.shape, dtype=np.complex128)
-    collapsed[:, 0, :] = b.amps[0] * scaled
-    collapsed[:, 1, :] = b.amps[1] * scaled
-    return outcome, _trusted_state(collapsed.reshape(1 << n), n)
+    key = ("basis", qubit, outcome)
+    collapsed = memo.get(key)
+    if collapsed is None:
+        b = basis[outcome]
+        scaled = _basis_coefficients(state, qubit, b) / np.sqrt(p_outcome)
+        new = np.empty(scaled.shape[:1] + (2,) + scaled.shape[1:], dtype=np.complex128)
+        new[:, 0, :] = b.amps[0] * scaled
+        new[:, 1, :] = b.amps[1] * scaled
+        collapsed = _successor(state, key, new.reshape(-1))
+    return outcome, collapsed
 
 
 def _bell_weights(amps: np.ndarray) -> np.ndarray:
@@ -247,16 +321,21 @@ def _bell_weights(amps: np.ndarray) -> np.ndarray:
 
 
 def bell_measure(state: TwoQubitState, rng: np.random.Generator) -> BellOutcome:
-    """Sample a full Bell-basis measurement of a two-qubit register."""
+    """Sample a full Bell-basis measurement of a two-qubit register.
+
+    The outcome is the first in ``BELL_ORDER`` whose cumulative weight
+    exceeds the uniform drawn, and the last if none does.
+    """
     _require_two_qubits(state)
-    probs = _bell_weights(state.amps)
-    r = rng.random()
-    acc = 0.0
-    for kind in BELL_ORDER:
-        acc += probs[kind.value]
-        if r < acc:
-            return kind
-    return BELL_ORDER[-1]
+    cumulative = state._memo.get("bell")
+    if cumulative is None:
+        weights = _bell_weights(state.amps)
+        acc, sums = 0.0, []
+        for kind in BELL_ORDER[:-1]:
+            acc += weights[kind.value]
+            sums.append(float(acc))
+        cumulative = state._memo["bell"] = tuple(sums)
+    return BELL_ORDER[bisect_right(cumulative, rng.random())]
 
 
 # Pauli indices for the row kernels
@@ -445,7 +524,7 @@ class BitFlip:
     p: float
 
     def __post_init__(self) -> None:
-        _check_probability(self.p)
+        object.__setattr__(self, "p", _checked_probability(self.p))
 
 
 @dataclass(frozen=True)
@@ -455,7 +534,7 @@ class PhaseFlip:
     p: float
 
     def __post_init__(self) -> None:
-        _check_probability(self.p)
+        object.__setattr__(self, "p", _checked_probability(self.p))
 
 
 @dataclass(frozen=True)
@@ -465,15 +544,17 @@ class Depolarizing:
     p: float
 
     def __post_init__(self) -> None:
-        _check_probability(self.p)
+        object.__setattr__(self, "p", _checked_probability(self.p))
 
 
 NoiseModel = NoNoise | BitFlip | PhaseFlip | Depolarizing
 
 
-def _check_probability(p: float) -> None:
+def _checked_probability(p: float) -> float:
+    # kept as a Python float, so the spec a model formats parses back
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"probability {p!r} outside [0, 1]")
+    return float(p)
 
 
 def apply_noise(

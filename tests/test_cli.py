@@ -33,6 +33,14 @@ class TestNoiseGrammar:
         for text in ("none", "bitflip:p=0.25", "phaseflip:p=0.5", "depolarizing:p=0.75"):
             assert parse_noise(format_noise(parse_noise(text))) == parse_noise(text)
 
+    def test_numpy_probability_formats_as_a_number(self):
+        # a numpy p used to be kept as given and format as "np.float64(0.05)"
+        for model in (BitFlip, PhaseFlip, Depolarizing):
+            noise = model(np.float64(0.05))
+            assert type(noise.p) is float
+            assert format_noise(noise) == format_noise(model(0.05))
+            assert parse_noise(format_noise(noise)) == noise
+
     def test_errors_name_the_token(self):
         with pytest.raises(ValueError, match="fuzz"):
             parse_noise("fuzz")

@@ -2,10 +2,14 @@
 
 The first three configs are the benchmark workloads at seed 1.  Their
 counts were recorded before the session round and the coded block were
-built from the same three legs.  The last two, an entangling attack
+built from the same three legs.  The next two, an entangling attack
 over a noisy channel and an attacked noisy coded run with loose
 thresholds, were recorded before the coded block ran as whole-array
-stages.  Any change to the order or number of draws moves them.
+stages.  The last two, measure-resend at pi/2 (discrimination weights
+of exactly 0 and 1) and at 0 (no basis, so the fair coin is drawn),
+were recorded before the session kernels cached their Born weights and
+successor states.  Any change to the order or number of draws moves
+them.
 """
 
 import math
@@ -19,13 +23,18 @@ from pingpong_qkd.css_qkd import (
     run_qkd_session,
 )
 from pingpong_qkd.pingpong import ProtocolConfig, run_session
-from pingpong_qkd.quantum_core import BitFlip, Depolarizing
+from pingpong_qkd.quantum_core import BitFlip, Depolarizing, PhaseFlip
 
 
 def session_counts(config):
     report = run_session(config)
     bob_errors = round(report.bob_error_rate * report.n_message)
     return report.n_control, report.n_coincidence, report.n_message, bob_errors
+
+
+def eve_right_guesses(config):
+    report = run_session(config)
+    return round(report.eve_accuracy * report.n_message)
 
 
 def test_intercept_session():
@@ -82,3 +91,27 @@ def test_intercepted_noisy_qkd():
     )
     report = run_qkd_session(config)
     assert (report.n_completed, report.n_agreed) == (20, 12)
+
+
+def test_exact_discrimination_noisy_session():
+    config = ProtocolConfig(
+        rounds=2000,
+        control_prob=0.5,
+        eve=MeasureResend(math.pi / 2),
+        noise=PhaseFlip(0.1),
+        seed=1,
+    )
+    assert session_counts(config) == (1003, 494, 997, 494)
+    assert eve_right_guesses(config) == 890
+
+
+def test_coin_guess_noisy_session():
+    config = ProtocolConfig(
+        rounds=2000,
+        control_prob=0.5,
+        eve=MeasureResend(0.0),
+        noise=Depolarizing(0.05),
+        seed=1,
+    )
+    assert session_counts(config) == (1003, 31, 997, 499)
+    assert eve_right_guesses(config) == 503

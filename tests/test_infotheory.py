@@ -186,6 +186,14 @@ class TestEmpiricalMutualInformation:
         assert (counts.c00, counts.c01, counts.c10, counts.c11) == (2, 1, 0, 2)
         assert counts.total() == 5
 
+    def test_add_counts_any_bit_type_in_its_cell(self):
+        # bools and numpy ints once named cells like "cTrue0" and were lost
+        counts = JointCounts2x2()
+        for a, b in [(True, False), (np.int64(1), np.int64(1)), (0.0, 1.0), (np.True_, 0)]:
+            counts.add(a, b)
+        assert (counts.c00, counts.c01, counts.c10, counts.c11) == (0, 1, 2, 1)
+        assert sorted(vars(counts)) == ["c00", "c01", "c10", "c11"]
+
     def test_add_rejects_non_bits(self):
         counts = JointCounts2x2()
         with pytest.raises(ValueError):

@@ -1,11 +1,23 @@
 """Unit and oracle tests for the statevector core."""
 
+import gc
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from oracles import bell_probabilities, fidelity, travel_density
-from pingpong_qkd.attacks import NoEve
-from pingpong_qkd.pingpong import DECODE_MAP, return_stage, send_stage
+from pingpong_qkd import attacks
+from pingpong_qkd.attacks import (
+    MeasureResend,
+    NoEve,
+    SymmetricEntangle,
+    intercept_resend,
+    omega_state,
+    return_discrimination_basis,
+)
+from pingpong_qkd.pingpong import DECODE_MAP, ProtocolConfig, return_stage, run_session, send_stage
 from pingpong_qkd.quantum_core import (
     HOME,
     PAULI_I,
@@ -597,3 +609,197 @@ class TestRowKernels:
         rows = np.array([[0.0, 0.0, 1.0, 0.0]], dtype=complex)
         with pytest.raises(RuntimeError, match="zero-probability"):
             measure_rows_both(rows, np.array([[0.5, 1.0]]))
+
+
+class FixedUniform:
+    """A stand-in Generator whose every ``random()`` draw is ``u``."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self):
+        return self.u
+
+
+def same_bits(a, b):
+    return a.amps.tobytes() == b.amps.tobytes()
+
+
+class TestCachedKernels:
+    # each single-state kernel keeps what it derives from a state; a first
+    # call, a second call on the same state and a first call on a fresh
+    # copy, fed the same uniform, agree bitwise
+    ROWS = 300
+    BASIS = discrimination_basis(prepare_polarized(0.7), prepare_polarized(2.1))
+
+    def check(self, kernel, seed):
+        """``kernel(state, rng)`` returns an outcome and a state, either may be None."""
+        rng = np.random.default_rng(seed)
+        for _ in range(self.ROWS):
+            state, u = random_state(rng), float(rng.random())
+            first = kernel(state, FixedUniform(u))
+            second = kernel(state, FixedUniform(u))
+            fresh = kernel(PureState(state.amps), FixedUniform(u))
+            for outcome, after in (second, fresh):
+                assert outcome == first[0]
+                if after is not None:
+                    assert same_bits(after, first[1])
+            if first[1] is not None:
+                # the second call was a lookup
+                assert second[1] is first[1]
+
+    @pytest.mark.parametrize("qubit", [HOME, TRAVEL])
+    @pytest.mark.parametrize("pauli", [apply_pauli_x, apply_pauli_y, apply_pauli_z])
+    def test_pauli_images(self, pauli, qubit):
+        self.check(lambda state, rng: (None, pauli(state, qubit)), 1)
+
+    @pytest.mark.parametrize("qubit", [HOME, TRAVEL])
+    def test_measure_computational(self, qubit):
+        self.check(lambda state, rng: measure_computational(state, qubit, rng), 2)
+
+    @pytest.mark.parametrize("qubit", [HOME, TRAVEL])
+    def test_measure_in_basis(self, qubit):
+        self.check(lambda state, rng: measure_in_basis(state, qubit, self.BASIS, rng), 3)
+
+    def test_measure_in_another_basis_replaces_the_cached_one(self):
+        other = (prepare_polarized(0.0), prepare_polarized(np.pi))
+        rng = np.random.default_rng(4)
+        for _ in range(self.ROWS):
+            state, u = random_state(rng), float(rng.random())
+            first = measure_in_basis(state, TRAVEL, self.BASIS, FixedUniform(u))
+            swapped = measure_in_basis(state, TRAVEL, other, FixedUniform(u))
+            fresh = measure_in_basis(PureState(state.amps), TRAVEL, other, FixedUniform(u))
+            again = measure_in_basis(state, TRAVEL, self.BASIS, FixedUniform(u))
+            assert swapped[0] == fresh[0] and same_bits(swapped[1], fresh[1])
+            assert again[0] == first[0] and same_bits(again[1], first[1])
+
+    def test_bell_measure(self):
+        self.check(lambda state, rng: (bell_measure(state, rng), None), 5)
+
+    def test_intercept_resend(self):
+        # one shared record per outcome, one forged pair per collapsed state
+        self.check(lambda state, rng: intercept_resend(state, 0.9, rng), 6)
+
+    def test_angle_states_are_cached(self):
+        for alpha in (0.0, 0.3, math.pi / 4):
+            assert omega_state(alpha) is omega_state(alpha)
+            assert same_bits(omega_state(alpha), omega_state.__wrapped__(alpha))
+        for theta in (0.0, 0.9, math.pi / 2):
+            for bit in (0, 1):
+                basis = return_discrimination_basis(theta, bit)
+                assert basis is return_discrimination_basis(theta, bit)
+
+    def test_zero_probability_branch_raises_on_every_call(self):
+        # a uniform of 1.0 selects outcome 0 of a travel qubit that is surely 1
+        surely_one = PureState([0.0, 1.0, 0.0, 0.0])
+        ones = (prepare_polarized(0.0), prepare_polarized(np.pi))
+        kernels = (
+            lambda state, rng: measure_computational(state, TRAVEL, rng),
+            lambda state, rng: measure_in_basis(state, TRAVEL, ones, rng),
+            lambda state, rng: intercept_resend(state, 0.9, rng),
+        )
+        for kernel in kernels:
+            for warm in (False, True):
+                state = PureState(surely_one.amps)
+                if warm:
+                    # fills the cache from the outcome that can happen
+                    kernel(state, FixedUniform(0.5))
+                for _ in range(2):
+                    with pytest.raises(RuntimeError, match="zero-probability"):
+                        kernel(state, FixedUniform(1.0))
+
+    def test_bad_qubit_or_basis_raises_on_every_call(self):
+        state = random_state(np.random.default_rng(7))
+        plus = PureState([INV_SQRT2, INV_SQRT2])
+        u = FixedUniform(0.5)
+        bad_calls = [
+            lambda pauli=pauli, qubit=qubit: pauli(state, qubit)
+            for pauli in (apply_pauli_x, apply_pauli_y, apply_pauli_z)
+            for qubit in (-1, 2)
+        ]
+        bad_calls += [
+            lambda: measure_computational(state, 2, u),
+            lambda: measure_computational(state, -1, u),
+            lambda: measure_in_basis(state, 2, self.BASIS, u),
+            lambda: measure_in_basis(state, TRAVEL, (plus, plus), u),
+            lambda: measure_in_basis(state, TRAVEL, (bell_state(BellOutcome.PSI_MINUS), plus), u),
+            lambda: bell_measure(plus, u),
+        ]
+        for _ in range(2):
+            for call in bad_calls:
+                with pytest.raises(ValueError):
+                    call()
+            # the valid calls cache their results and leave the bad ones raising
+            for qubit in (HOME, TRAVEL):
+                apply_pauli_x(state, qubit)
+                measure_computational(state, qubit, u)
+                measure_in_basis(state, qubit, self.BASIS, u)
+            bell_measure(state, u)
+
+    def test_chains_stop_keeping_successors(self):
+        # a loop that feeds each result back keeps a bounded chain alive
+        root = random_state(np.random.default_rng(8))
+        state = root
+        for _ in range(50):
+            state = apply_pauli_z(apply_pauli_x(state, TRAVEL), TRAVEL)
+        kept, state = 0, root
+        while ("x", TRAVEL) in state._memo or ("z", TRAVEL) in state._memo:
+            state = state._memo.get(("x", TRAVEL)) or state._memo[("z", TRAVEL)]
+            kept += 1
+        assert kept == 3
+
+
+def traced_bytes(runs):
+    """Bytes allocated while tracing and still held, after each of ``runs``.
+
+    Blocks allocated before tracing starts are not counted, so a run
+    that frees them does not lower the count.
+    """
+    held = []
+    gc.collect()
+    tracemalloc.start()
+    try:
+        for run in runs:
+            run()
+            gc.collect()
+            held.append(tracemalloc.get_traced_memory()[0])
+    finally:
+        tracemalloc.stop()
+    return held
+
+
+class TestCacheMemory:
+    # a state that a round adds to the caches costs a few hundred bytes,
+    # and a config reaches a fixed set of them; growth with the number of
+    # rounds or angles would cost at least a few bytes each, hundreds of
+    # KB over these runs
+
+    def test_memory_does_not_grow_with_rounds(self):
+        # at p = 0.5 every noise branch is common, so the warm-up reaches
+        # every state the config can
+        config = ProtocolConfig(
+            rounds=100_000, eve=MeasureResend(math.pi / 3), noise=Depolarizing(0.5), seed=1
+        )
+        run_session(ProtocolConfig(**{**vars(config), "rounds": 20_000, "seed": 0}))
+        (grown,) = traced_bytes([lambda: run_session(config)])
+        assert grown < 8_000
+
+    @pytest.mark.parametrize(
+        ("attack", "top"),
+        [(MeasureResend, math.pi / 2), (SymmetricEntangle, math.pi / 4)],
+        ids=["theta", "alpha"],
+    )
+    def test_bounded_growth_over_an_angle_sweep(self, attack, top):
+        # four times as many angles as a cache keeps: once the first half
+        # has cycled every cache, the second half adds nothing, where
+        # growth with the angle count would double the first half
+        angles = np.linspace(0.0, top, 4 * attacks._ANGLE_CACHE)
+        half = len(angles) // 2
+
+        def sweep(part):
+            for angle in part:
+                run_session(ProtocolConfig(rounds=200, eve=attack(angle), noise=Depolarizing(0.05)))
+
+        first, both = traced_bytes([lambda: sweep(angles[:half]), lambda: sweep(angles[half:])])
+        assert first > 0
+        assert both < 1.1 * first
