@@ -26,9 +26,10 @@ back into a kernel cannot chain an unbounded number of states to a
 long-lived one.  A state lives as long as whatever refers to it; the
 attack states of each angle sit under fixed-size caches in ``attacks``.
 Sharing between threads stays safe: a memo entry is a pure function of
-the immutable amplitudes, stored by one dict assignment, so two threads
-that fill the same entry at once store equal values and either one is
-correct.
+the immutable amplitudes (and, for ``measure_in_basis``, of the basis
+stored in the same entry, with its collapsed states), stored by one
+assignment, so two threads that fill the same entry at once store equal
+values and either one is correct.
 
 Randomness always comes from an explicit numpy Generator passed by the
 caller, never from module-level state.
@@ -115,12 +116,12 @@ def _trusted_state(amps: np.ndarray, n_qubits: int, depth: int = 0) -> PureState
     return state
 
 
-def _successor(state: PureState, key, amps: np.ndarray) -> PureState:
-    # the state a kernel derived from ``state``, kept in its memo under
-    # ``key`` unless ``state`` lies too deep
+def _successor(state: PureState, store, key, amps: np.ndarray) -> PureState:
+    # the state a kernel derived from ``state``, kept in ``store`` (its
+    # memo or a part of it) under ``key`` unless ``state`` lies too deep
     new = _trusted_state(amps, state.n_qubits, state._depth + 1)
     if state._depth < _MEMO_DEPTH:
-        state._memo[key] = new
+        store[key] = new
     return new
 
 
@@ -212,7 +213,8 @@ def apply_pauli_x(state: PureState, qubit: int) -> PureState:
     key = ("x", qubit)
     image = state._memo.get(key)
     if image is None:
-        image = _successor(state, key, state.amps[_flip_index(state.n_qubits, qubit)].copy())
+        new = state.amps[_flip_index(state.n_qubits, qubit)].copy()
+        image = _successor(state, state._memo, key, new)
     return image
 
 
@@ -223,7 +225,7 @@ def apply_pauli_y(state: PureState, qubit: int) -> PureState:
     if image is None:
         phase = np.where(_bit_values(state.n_qubits, qubit) == 1, 1j, -1j)
         new = state.amps[_flip_index(state.n_qubits, qubit)] * phase
-        image = _successor(state, key, new)
+        image = _successor(state, state._memo, key, new)
     return image
 
 
@@ -233,7 +235,7 @@ def apply_pauli_z(state: PureState, qubit: int) -> PureState:
     image = state._memo.get(key)
     if image is None:
         bits = _bit_values(state.n_qubits, qubit)
-        image = _successor(state, key, np.where(bits == 1, -state.amps, state.amps))
+        image = _successor(state, state._memo, key, np.where(bits == 1, -state.amps, state.amps))
     return image
 
 
@@ -258,7 +260,8 @@ def measure_computational(
     collapsed = memo.get(key)
     if collapsed is None:
         keep = _bit_values(state.n_qubits, qubit) == outcome
-        collapsed = _successor(state, key, np.where(keep, state.amps, 0.0) / np.sqrt(p_outcome))
+        new = np.where(keep, state.amps, 0.0) / np.sqrt(p_outcome)
+        collapsed = _successor(state, memo, key, new)
     return outcome, collapsed
 
 
@@ -294,24 +297,22 @@ def measure_in_basis(
         if not 0 <= qubit < n:
             raise ValueError(f"qubit {qubit} outside register of {n}")
         p_one = float(np.sum(np.abs(_basis_coefficients(state, qubit, b1)) ** 2))
-        cached = memo[key] = ((b0, b1), p_one)
-        # the collapsed states belong to the basis this one replaces
-        memo.pop(("basis", qubit, 0), None)
-        memo.pop(("basis", qubit, 1), None)
-    basis, p_one = cached
+        # the collapsed states live inside the basis's own entry, so one
+        # found under another basis is never returned
+        cached = memo[key] = ((b0, b1), p_one, [None, None])
+    basis, p_one, collapsed_by_outcome = cached
     outcome = 1 if rng.random() < p_one else 0
     p_outcome = p_one if outcome == 1 else 1.0 - p_one
     if p_outcome <= 0.0:
         raise RuntimeError("sampled a zero-probability branch")
-    key = ("basis", qubit, outcome)
-    collapsed = memo.get(key)
+    collapsed = collapsed_by_outcome[outcome]
     if collapsed is None:
         b = basis[outcome]
         scaled = _basis_coefficients(state, qubit, b) / np.sqrt(p_outcome)
         new = np.empty(scaled.shape[:1] + (2,) + scaled.shape[1:], dtype=np.complex128)
         new[:, 0, :] = b.amps[0] * scaled
         new[:, 1, :] = b.amps[1] * scaled
-        collapsed = _successor(state, key, new.reshape(-1))
+        collapsed = _successor(state, collapsed_by_outcome, outcome, new.reshape(-1))
     return outcome, collapsed
 
 

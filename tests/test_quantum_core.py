@@ -673,6 +673,22 @@ class TestCachedKernels:
             assert swapped[0] == fresh[0] and same_bits(swapped[1], fresh[1])
             assert again[0] == first[0] and same_bits(again[1], first[1])
 
+    def test_basis_switch_during_a_call_keeps_its_own_collapse(self):
+        # a call in another basis between one call's lookup and its draw,
+        # as a second thread could make, must not hand the first call a
+        # state collapsed onto the other basis
+        other = (prepare_polarized(0.0), prepare_polarized(np.pi))
+        state = random_state(np.random.default_rng(9))
+
+        class SwitchingUniform:
+            def random(self):
+                measure_in_basis(state, TRAVEL, other, FixedUniform(0.5))
+                return 0.5
+
+        outcome, post = measure_in_basis(state, TRAVEL, self.BASIS, SwitchingUniform())
+        expected = measure_in_basis(PureState(state.amps), TRAVEL, self.BASIS, FixedUniform(0.5))
+        assert outcome == expected[0] and same_bits(post, expected[1])
+
     def test_bell_measure(self):
         self.check(lambda state, rng: (bell_measure(state, rng), None), 5)
 
