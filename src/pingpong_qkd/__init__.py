@@ -66,7 +66,6 @@ from .css_qkd import (
     AbortedControl,
     AbortedDecoy,
     BinaryCode,
-    BinaryWord,
     Completed,
     NestedCodePair,
     QkdConfig,

@@ -352,13 +352,13 @@ def cmd_css_info(args: argparse.Namespace) -> int:
 
 def cmd_css_encode(args: argparse.Namespace) -> int:
     code = _resolve_code(args.code)
-    print(css_qkd.encode(code, css_qkd.BinaryWord.from_string(args.word)))
+    print(css_qkd.encode(code, args.word))
     return 0
 
 
 def cmd_css_decode(args: argparse.Namespace) -> int:
     code = _resolve_code(args.code)
-    result = css_qkd.syndrome_decode(code, css_qkd.BinaryWord.from_string(args.word))
+    result = css_qkd.syndrome_decode(code, args.word)
     if result is None:
         print("decode failure: no codeword within the correction radius")
     else:
@@ -368,7 +368,7 @@ def cmd_css_decode(args: argparse.Namespace) -> int:
 
 def cmd_css_coset(args: argparse.Namespace) -> int:
     pair = css_qkd.NestedCodePair(_resolve_code(args.c1), _resolve_code(args.c2))
-    print(css_qkd.coset_key(pair, css_qkd.BinaryWord.from_string(args.word)))
+    print(css_qkd.coset_key(pair, args.word))
     return 0
 
 

@@ -8,15 +8,21 @@ C2 inside C1 turns the surviving noisy string into a shared secret: the
 key is the coset label of a random codeword v in C1/C2, and single-bit
 channel errors are absorbed by syndrome decoding with C1.
 
-Codes are row-space objects over GF(2).  Words and codes are immutable
-and hashable, and every row reduction goes through ``_gf2_eliminate``.
-Each code object builds its tables once, on first use, and keeps them
-as attributes: the generator and parity-check matrices, and the dense
-syndrome table of its decoder (``_SyndromeTable``), a coset leader for
-every syndrome.  A nested pair keeps its coset label map the same way.
+Codes are row-space objects over GF(2).  A word is a string of 0 and 1
+wherever it enters or leaves the module: code file rows, the generator
+rows of a ``BinaryCode``, the arguments and results of the public
+functions, and the keys of a ``Completed`` block.  Inside, it is a
+uint8 array; ``_parse_word`` and ``_format_word`` are the only
+conversions.  Codes are immutable and hashable, and every row reduction
+goes through ``_gf2_eliminate``.
+A code object checks its rows and keeps them as a generator matrix
+when built.  Its other tables it builds once, on first use, and keeps
+as attributes: the parity-check matrix, and the dense syndrome table of
+its decoder (``_SyndromeTable``), a coset leader for every syndrome.  A
+nested pair keeps its coset label map the same way.
 ``run_qkd_block`` works on these tables with uint8 arrays, and the
-public ``encode``, ``syndrome_decode`` and ``coset_key`` are thin
-wrappers over the same tables, converting ``BinaryWord`` at the edge.
+public ``encode``, ``contains``, ``syndrome_decode`` and ``coset_key``
+are thin wrappers over the same tables.
 """
 
 from __future__ import annotations
@@ -41,82 +47,46 @@ MAX_CODE_BITS = 24
 MAX_BLOCK_PAIRS = 10**6
 
 
-@dataclass(frozen=True)
-class BinaryWord:
-    """Fixed-length bit string; addition is bitwise XOR."""
-
-    bits: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.bits) == 0:
-            raise ValueError("empty word")
-        if any(b not in (0, 1) for b in self.bits):
-            raise ValueError(f"word bits must be 0 or 1: {self.bits!r}")
-
-    @classmethod
-    def from_string(cls, text: str) -> "BinaryWord":
-        clean = text.strip()
-        if not clean or set(clean) - {"0", "1"}:
-            raise ValueError(f"word must be nonempty characters in 01, got {text!r}")
-        return cls(tuple(int(ch) for ch in clean))
-
-    @classmethod
-    def zero(cls, n: int) -> "BinaryWord":
-        return cls((0,) * n)
-
-    def __len__(self) -> int:
-        return len(self.bits)
-
-    def __xor__(self, other: "BinaryWord") -> "BinaryWord":
-        if len(other) != len(self):
-            raise ValueError("XOR of words with different lengths")
-        return BinaryWord(tuple(a ^ b for a, b in zip(self.bits, other.bits)))
-
-    def weight(self) -> int:
-        return sum(self.bits)
-
-    def __str__(self) -> str:
-        return "".join(str(b) for b in self.bits)
+def _parse_word(text: str, length: int) -> np.ndarray:
+    """The uint8 bits of a ``length``-bit word written in 01, outer whitespace ignored."""
+    clean = text.strip()
+    if not clean or set(clean) - {"0", "1"}:
+        raise ValueError(f"word must be nonempty characters in 01, got {text!r}")
+    if len(clean) != length:
+        raise ValueError(f"word {clean!r} has {len(clean)} bits, expected {length}")
+    return np.frombuffer(clean.encode(), dtype=np.uint8) - 48
 
 
-def _word_array(word: BinaryWord) -> np.ndarray:
-    return np.array(word.bits, dtype=np.uint8)
-
-
-def _array_word(arr: np.ndarray) -> BinaryWord:
-    return BinaryWord(tuple(arr.tolist()))
+def _format_word(bits: np.ndarray) -> str:
+    return "".join(["01"[b] for b in bits.tolist()])
 
 
 @dataclass(frozen=True)
 class BinaryCode:
-    """Linear code over GF(2) given by linearly independent generator rows."""
+    """Linear code over GF(2) given by linearly independent generator rows in 01."""
 
-    n: int
-    k: int
-    generators: tuple[BinaryWord, ...]
+    generators: tuple[str, ...]
 
     def __post_init__(self) -> None:
-        if self.k < 1 or self.k > self.n:
-            raise ValueError(f"dimension {self.k} invalid for length {self.n}")
-        if len(self.generators) != self.k:
-            raise ValueError(f"expected {self.k} generators, got {len(self.generators)}")
-        if any(len(g) != self.n for g in self.generators):
-            raise ValueError("generator length differs from block length")
-        if len(_gf2_eliminate(self._generator)[1]) != self.k:
-            raise ValueError("generators are linearly dependent over GF(2)")
-
-    @classmethod
-    def from_rows(cls, rows: list[str] | tuple[str, ...]) -> "BinaryCode":
+        rows = tuple(row.strip() for row in self.generators)
         if not rows:
             raise ValueError("a code needs at least one generator row")
-        words = tuple(BinaryWord.from_string(r) for r in rows)
-        return cls(n=len(words[0]), k=len(words), generators=words)
-
-    @cached_property
-    def _generator(self) -> np.ndarray:
-        g = np.array([w.bits for w in self.generators], dtype=np.uint8)
+        g = np.stack([_parse_word(row, len(rows[0])) for row in rows])
         g.flags.writeable = False
-        return g
+        object.__setattr__(self, "generators", rows)
+        object.__setattr__(self, "_generator", g)
+        if self.k > self.n:
+            raise ValueError(f"dimension {self.k} invalid for length {self.n}")
+        if len(_gf2_eliminate(g)[1]) != self.k:
+            raise ValueError("generators are linearly dependent over GF(2)")
+
+    @property
+    def n(self) -> int:
+        return len(self.generators[0])
+
+    @property
+    def k(self) -> int:
+        return len(self.generators)
 
     @cached_property
     def _check(self) -> np.ndarray:
@@ -173,18 +143,14 @@ def _span(g: np.ndarray, start: int, stop: int) -> np.ndarray:
     return (bits @ g) & 1
 
 
-def encode(code: BinaryCode, message: BinaryWord) -> BinaryWord:
+def encode(code: BinaryCode, message: str) -> str:
     """Generator-matrix encoding: XOR of the generators picked by message bits."""
-    if len(message) != code.k:
-        raise ValueError(f"message length {len(message)} differs from dimension {code.k}")
-    return _array_word((_word_array(message) @ code._generator) & 1)
+    return _format_word((_parse_word(message, code.k) @ code._generator) & 1)
 
 
-def contains(code: BinaryCode, word: BinaryWord) -> bool:
+def contains(code: BinaryCode, word: str) -> bool:
     """True iff the word lies in the code's row space over GF(2)."""
-    if len(word) != code.n:
-        raise ValueError(f"word length {len(word)} differs from block length {code.n}")
-    return not ((code._check @ _word_array(word)) & 1).any()
+    return not ((code._check @ _parse_word(word, code.n)) & 1).any()
 
 
 def min_distance(code: BinaryCode) -> int:
@@ -247,16 +213,14 @@ class _SyndromeTable:
         return word ^ ((self.leaders[syndrome] >> self.positions) & 1)
 
 
-def syndrome_decode(c1: BinaryCode, word: BinaryWord) -> BinaryWord | None:
+def syndrome_decode(c1: BinaryCode, word: str) -> str | None:
     """Correct ``word`` to the unique codeword within the packing radius.
 
     Returns None when no codeword lies within floor((d-1)/2) flips; the
     caller decides what a failure means.
     """
-    if len(word) != c1.n:
-        raise ValueError(f"word length {len(word)} differs from block length {c1.n}")
-    corrected = c1._decoder.decode(_word_array(word))
-    return None if corrected is None else _array_word(corrected)
+    corrected = c1._decoder.decode(_parse_word(word, c1.n))
+    return None if corrected is None else _format_word(corrected)
 
 
 @dataclass(frozen=True)
@@ -306,15 +270,15 @@ def _label_map(pair: NestedCodePair) -> np.ndarray:
     return labels
 
 
-def coset_key(pair: NestedCodePair, v: BinaryWord) -> BinaryWord:
+def coset_key(pair: NestedCodePair, v: str) -> str:
     """Label of the coset v + C2 inside C1, as dim C1 - dim C2 bits.
 
     Constant on cosets, injective across them, and all-zero exactly on
     members of C2.
     """
     if not contains(pair.c1, v):
-        raise ValueError(f"word {v} is not a codeword of the outer code")
-    return _array_word((_word_array(v) @ pair._labels) & 1)
+        raise ValueError(f"word {v!r} is not a codeword of the outer code")
+    return _format_word((_parse_word(v, pair.c1.n) @ pair._labels) & 1)
 
 
 _MESSAGE, _CONTROL, _DECOY = range(3)
@@ -322,8 +286,6 @@ _MESSAGE, _CONTROL, _DECOY = range(3)
 
 def _position_kinds(n: int, m: int, l: int, rng: np.random.Generator) -> np.ndarray:
     """Uniformly random labeling with exactly n ``_MESSAGE``, m ``_CONTROL``, l ``_DECOY``."""
-    if n < 1 or m < 1 or l < 1:
-        raise ValueError(f"all position counts must be positive, got {(n, m, l)!r}")
     return np.repeat(np.arange(3), (n, m, l))[rng.permutation(n + m + l)]
 
 
@@ -388,8 +350,8 @@ class AbortedDecoy:
 class Completed:
     """Both checks passed and a key was extracted on each side."""
 
-    alice_key: BinaryWord
-    bob_key: BinaryWord
+    alice_key: str
+    bob_key: str
     decode_failures: int
 
 
@@ -413,7 +375,7 @@ def run_qkd_block(
     of a session round's legs.  The draw order is set out in the
     ``pingpong`` module docstring.  The words stay uint8 arrays through
     the code tables of ``pair.c1`` and ``pair``; only the two keys are
-    built as ``BinaryWord``.
+    formatted, as strings in 01.
 
     ``inject_message_flips`` flips that many of Bob's decoded message
     bits at random distinct positions (drawn after decoding), modeling
@@ -462,8 +424,8 @@ def run_qkd_block(
     v_hat = c1._decoder.decode(w)
     labels = pair._labels
     return Completed(
-        alice_key=_array_word((v @ labels) & 1),
-        bob_key=_array_word(((w if v_hat is None else v_hat) @ labels) & 1),
+        alice_key=_format_word((v @ labels) & 1),
+        bob_key=_format_word(((w if v_hat is None else v_hat) @ labels) & 1),
         decode_failures=int(v_hat is None),
     )
 
@@ -551,10 +513,10 @@ def load_code(path: str | Path) -> BinaryCode:
     if len(rows) != k:
         raise ValueError(f"code file {path}: expected {k} generator rows, found {len(rows)}")
     for row in rows:
-        if len(row) != n or set(row) - {"0", "1"}:
-            raise ValueError(f"code file {path}: bad generator row {row!r}")
+        if len(row) != n:
+            raise ValueError(f"code file {path}: generator row {row!r} does not have {n} bits")
     try:
-        return BinaryCode.from_rows(rows)
+        return BinaryCode(tuple(rows))
     except ValueError as err:
         raise ValueError(f"code file {path}: {err}") from None
 

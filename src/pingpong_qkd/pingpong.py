@@ -39,10 +39,6 @@ and codeword, then ``send_leg`` for every position in order,
 Each stage draws those uniforms in one ``rng.random((rows, k))`` call,
 k being the fixed number of draws per pair, which yields the same
 doubles in the same order as rows * k single calls.
-
-Before the stages, the theta = 0 coin was ``rng.integers(2)``, so
-seeded runs under ``MeasureResend(0)`` differ from earlier versions; no
-other seeded run changed.
 """
 
 from __future__ import annotations

@@ -4,11 +4,9 @@ The simulator never needs these: they read a state rather than sample
 it, or build registers wider than a protocol pair.
 """
 
-import itertools
-
 import numpy as np
 
-from pingpong_qkd.css_qkd import BinaryWord, NestedCodePair, encode
+from pingpong_qkd.css_qkd import NestedCodePair, encode
 from pingpong_qkd.quantum_core import BELL_ORDER, PureState, _bell_weights
 
 
@@ -23,11 +21,22 @@ def travel_density(state: PureState) -> np.ndarray:
     return a.T @ a.conj()
 
 
-def coset_state(pair: NestedCodePair, x: BinaryWord) -> PureState:
+def xor(a: str, b: str) -> str:
+    """Bitwise XOR of two words in 01 of the same length."""
+    assert len(a) == len(b), "XOR of words with different lengths"
+    return "".join("01"[x != y] for x, y in zip(a, b))
+
+
+def all_words(length: int) -> list[str]:
+    """Every word in 01 of the given length, in counting order."""
+    return [format(value, f"0{length}b") for value in range(1 << length)]
+
+
+def coset_state(pair: NestedCodePair, x: str) -> PureState:
     """|x + C2>: equal amplitude on x XOR y for every y = encode(C2, message)."""
     amps = np.zeros(1 << pair.c2.n)
-    for bits in itertools.product((0, 1), repeat=pair.c2.k):
-        amps[int(str(x ^ encode(pair.c2, BinaryWord(bits))), 2)] = 1.0
+    for message in all_words(pair.c2.k):
+        amps[int(xor(x, encode(pair.c2, message)), 2)] = 1.0
     return PureState(amps / np.sqrt(amps.sum()))
 
 
@@ -36,15 +45,15 @@ def bell_probabilities(state: PureState) -> dict:
     return dict(zip(BELL_ORDER, _bell_weights(state.amps)))
 
 
-def nearest_codewords(codewords: list[BinaryWord]) -> list[BinaryWord | None]:
+def nearest_codewords(codewords: list[str]) -> list[str | None]:
     """For every word y of GF(2)^n, the codeword within the packing radius, or None.
 
-    Entry ``int(str(y), 2)`` compares y with every codeword by Hamming
+    Entry ``int(y, 2)`` compares y with every codeword by Hamming
     distance.  The radius is floor((d - 1) / 2), d being the least
     weight of a nonzero codeword, so at most one codeword is that near.
     """
     n = len(codewords[0])
-    ints = np.array([int(str(c), 2) for c in codewords], dtype=np.int64)
+    ints = np.array([int(c, 2) for c in codewords], dtype=np.int64)
     byte_weights = np.array([bin(b).count("1") for b in range(256)], dtype=np.int64)
 
     def weight(x):

@@ -5,7 +5,6 @@ an implementation against an independent brute-force oracle, at the
 tolerance stated inline.  The verdict lines are echoed after the run.
 """
 
-import itertools
 import math
 import time
 
@@ -13,11 +12,10 @@ import numpy as np
 from scipy import stats
 
 import conftest
-from oracles import coset_state, fidelity
+from oracles import all_words, coset_state, fidelity, xor
 from pingpong_qkd.attacks import MeasureResend, SymmetricEntangle
 from pingpong_qkd.css_qkd import (
     BinaryCode,
-    BinaryWord,
     Completed,
     NestedCodePair,
     QkdConfig,
@@ -38,8 +36,8 @@ from pingpong_qkd.infotheory import (
 from pingpong_qkd.pingpong import ProtocolConfig, run_session
 from pingpong_qkd.quantum_core import PureState, _bell_weights
 
-HAMMING_ROWS = ["1000110", "0100101", "0010011", "0001111"]
-DUAL_ROWS = ["1101100", "1011010", "0111001"]
+HAMMING_ROWS = ("1000110", "0100101", "0010011", "0001111")
+DUAL_ROWS = ("1101100", "1011010", "0111001")
 
 THETAS = {
     "pi/6": math.pi / 6,
@@ -167,18 +165,13 @@ def test_criterion_4_entangling_attack_consistency():
 def test_criterion_5_coset_state_fidelity():
     start = time.perf_counter()
     failures = []
-    pair = NestedCodePair(
-        c1=BinaryCode.from_rows(HAMMING_ROWS), c2=BinaryCode.from_rows(DUAL_ROWS)
-    )
-    codewords = [
-        encode(pair.c1, BinaryWord(bits))
-        for bits in itertools.product((0, 1), repeat=pair.c1.k)
-    ]
-    states = {str(w): coset_state(pair, w) for w in codewords}
+    pair = NestedCodePair(c1=BinaryCode(HAMMING_ROWS), c2=BinaryCode(DUAL_ROWS))
+    codewords = [encode(pair.c1, message) for message in all_words(pair.c1.k)]
+    states = {w: coset_state(pair, w) for w in codewords}
     for a in codewords:
         for b in codewords:
-            overlap = fidelity(states[str(a)], states[str(b)])
-            same_coset = contains(pair.c2, a ^ b)
+            overlap = fidelity(states[a], states[b])
+            same_coset = contains(pair.c2, xor(a, b))
             target = 1.0 if same_coset else 0.0
             if abs(overlap - target) > 1e-12:
                 failures.append(
@@ -198,9 +191,7 @@ def test_criterion_5_coset_state_fidelity():
 def test_criterion_6_coded_protocol_end_to_end():
     start = time.perf_counter()
     failures = []
-    pair = NestedCodePair(
-        c1=BinaryCode.from_rows(HAMMING_ROWS), c2=BinaryCode.from_rows(DUAL_ROWS)
-    )
+    pair = NestedCodePair(c1=BinaryCode(HAMMING_ROWS), c2=BinaryCode(DUAL_ROWS))
 
     clean = run_qkd_session(QkdConfig(pair=pair, m=50, l=50, blocks=200, seed=23))
     if clean.n_completed != 200 or clean.abort_rate != 0.0:
@@ -271,13 +262,10 @@ def test_criterion_7_oracle_equivalence():
     if worst >= 1e-10:
         failures.append(f"Bell probabilities deviate from the overlap oracle by {worst}")
 
-    code = BinaryCode.from_rows(HAMMING_ROWS)
-    codewords = [
-        encode(code, BinaryWord(bits)) for bits in itertools.product((0, 1), repeat=4)
-    ]
-    for value in range(128):
-        word = BinaryWord.from_string(format(value, "07b"))
-        distances = [(word ^ c).weight() for c in codewords]
+    code = BinaryCode(HAMMING_ROWS)
+    codewords = [encode(code, message) for message in all_words(4)]
+    for word in all_words(7):
+        distances = [xor(word, c).count("1") for c in codewords]
         best = min(distances)
         decoded = syndrome_decode(code, word)
         if best <= 1:

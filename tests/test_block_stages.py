@@ -15,7 +15,6 @@ from pingpong_qkd.attacks import MeasureResend, NoEve, SymmetricEntangle
 from pingpong_qkd.css_qkd import (
     AbortedControl,
     AbortedDecoy,
-    BinaryWord,
     Completed,
     NestedCodePair,
     QkdConfig,
@@ -36,7 +35,7 @@ from pingpong_qkd.quantum_core import BitFlip, Depolarizing, NoNoise, PhaseFlip
 
 
 def word(bits):
-    return BinaryWord(tuple(int(b) for b in bits))
+    return "".join(map(str, bits.tolist()))
 
 
 def scalar_block(config, rng, inject_message_flips=0):
@@ -62,9 +61,9 @@ def scalar_block(config, rng, inject_message_flips=0):
     r = np.array([decoded[i] for i in where[_MESSAGE]], dtype=np.uint8)
     if inject_message_flips:
         r[rng.choice(n, size=inject_message_flips, replace=False)] ^= 1
-    w = word(r ^ x ^ np.array(v.bits, dtype=np.uint8))
+    w = word(r ^ x ^ np.array(list(v), dtype=np.uint8))
     v_hat = syndrome_decode(pair.c1, w)
-    bob = (np.array((w if v_hat is None else v_hat).bits, dtype=np.uint8) @ _label_map(pair)) & 1
+    bob = (np.array(list(w if v_hat is None else v_hat), dtype=np.uint8) @ _label_map(pair)) & 1
     return Completed(coset_key(pair, v), word(bob), int(v_hat is None))
 
 

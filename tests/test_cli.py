@@ -361,6 +361,22 @@ class TestCssCommand:
     def test_encode(self, capsys):
         assert run_cli("css", "encode", HAMMING, "1011") == 0
         assert capsys.readouterr().out.strip() == "1011010"
+        # whitespace around a word is ignored
+        assert run_cli("css", "encode", HAMMING, " 1011\n") == 0
+        assert capsys.readouterr().out.strip() == "1011010"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("encode", HAMMING, "10x1"),
+            ("decode", HAMMING, "101"),
+            # 1000000 is not a codeword of the outer code
+            ("coset", HAMMING, DUAL, "1000000"),
+        ],
+    )
+    def test_bad_word_exits_2(self, argv, capsys):
+        assert run_cli("css", *argv) == 2
+        assert "error:" in capsys.readouterr().err
 
     def test_decode_corrects_single_error(self, capsys):
         # 1100110 is generator 1 XOR generator 2 with bit 2 flipped

@@ -7,13 +7,12 @@ import math
 import numpy as np
 import pytest
 
-from oracles import coset_state, fidelity, nearest_codewords
+from oracles import all_words, coset_state, fidelity, nearest_codewords, xor
 from pingpong_qkd.attacks import MeasureResend, NoEve, SymmetricEntangle
 from pingpong_qkd.css_qkd import (
     AbortedControl,
     AbortedDecoy,
     BinaryCode,
-    BinaryWord,
     Completed,
     MAX_BLOCK_PAIRS,
     NestedCodePair,
@@ -34,21 +33,21 @@ from pingpong_qkd.css_qkd import (
 )
 from pingpong_qkd.quantum_core import BitFlip, Depolarizing, NoNoise, PhaseFlip
 
-HAMMING_ROWS = ["1000110", "0100101", "0010011", "0001111"]
-DUAL_ROWS = ["1101100", "1011010", "0111001"]
+HAMMING_ROWS = ("1000110", "0100101", "0010011", "0001111")
+DUAL_ROWS = ("1101100", "1011010", "0111001")
 
-# recorded before the coded block decoded through the dense syndrome table
-SEEDED_REPORTS_SHA256 = "1ed5310896cc4bbcca8d887ad214b0148169d5f5ce4180459d73b1639a46a13e"
+# recorded when the keys were still word objects, so it pins values, not types
+SEEDED_REPORTS_SHA256 = "3cea53e50295b0bd66d622336a5cd1b73ad7981c16484b1c0ec4c009bf3908e5"
 
 
 @pytest.fixture(scope="module")
 def hamming():
-    return BinaryCode.from_rows(HAMMING_ROWS)
+    return BinaryCode(HAMMING_ROWS)
 
 
 @pytest.fixture(scope="module")
 def dual(hamming):
-    return BinaryCode.from_rows(DUAL_ROWS)
+    return BinaryCode(DUAL_ROWS)
 
 
 @pytest.fixture(scope="module")
@@ -57,57 +56,74 @@ def pair(hamming, dual):
 
 
 def all_codewords(code):
-    words = []
-    for bits in itertools.product((0, 1), repeat=code.k):
-        words.append(encode(code, BinaryWord(tuple(bits))))
-    return words
+    return [encode(code, message) for message in all_words(code.k)]
+
+
+def report_values(report):
+    """A report as text built from its values alone: counts, then each
+    block's kind, its tally and, for a completed block, its keys in 01."""
+    blocks = []
+    for result in report.results:
+        if isinstance(result, AbortedControl):
+            blocks.append(f"control {result.coincidences}")
+        elif isinstance(result, AbortedDecoy):
+            blocks.append(f"decoy {result.ones}")
+        else:
+            blocks.append(
+                f"completed {result.alice_key} {result.bob_key} {result.decode_failures}"
+            )
+    counts = (
+        report.n_blocks, report.n_aborted_control, report.n_aborted_decoy, report.n_completed,
+        report.abort_rate, report.n_agreed, report.agreement_rate, report.total_key_bits,
+        report.total_decode_failures,
+    )
+    return " ".join(map(repr, counts)) + "; " + "; ".join(blocks) + "\n"
 
 
 def reed_muller_rows(order):
     """Rows of RM(order, 4): each monomial of degree <= order in x1..x4,
     evaluated at the 16 points of GF(2)^4 in lexicographic order."""
     points = list(itertools.product((0, 1), repeat=4))
-    return [
+    return tuple(
         "".join(str(int(all(p[i] for i in monomial))) for p in points)
         for degree in range(order + 1)
         for monomial in itertools.combinations(range(4), degree)
-    ]
+    )
 
 
 @pytest.fixture(scope="module")
 def rm_pair():
     return NestedCodePair(
-        c1=BinaryCode.from_rows(reed_muller_rows(2)),
-        c2=BinaryCode.from_rows(reed_muller_rows(1)),
+        c1=BinaryCode(reed_muller_rows(2)),
+        c2=BinaryCode(reed_muller_rows(1)),
     )
 
 
-class TestBinaryWord:
-    def test_from_string_round_trip(self):
-        word = BinaryWord.from_string("0101101")
-        assert str(word) == "0101101"
-        assert len(word) == 7
+# texts that are not a word of the expected length: empty, a stray
+# character, inner whitespace, one bit short
+BAD_WORDS = ["", "01012", "0 1", "101"]
 
-    def test_from_string_rejects_garbage(self):
-        with pytest.raises(ValueError):
-            BinaryWord.from_string("01012")
-        with pytest.raises(ValueError):
-            BinaryWord.from_string("")
 
-    def test_xor_and_weight(self):
-        a = BinaryWord.from_string("1100")
-        b = BinaryWord.from_string("1010")
-        assert str(a ^ b) == "0110"
-        assert (a ^ b).weight() == 2
-        assert BinaryWord.zero(4).weight() == 0
+@pytest.mark.parametrize("text", BAD_WORDS)
+@pytest.mark.parametrize(
+    "use",
+    [
+        lambda pair, text: encode(pair.c1, text),
+        lambda pair, text: contains(pair.c1, text),
+        lambda pair, text: syndrome_decode(pair.c1, text),
+        lambda pair, text: coset_key(pair, text),
+        lambda pair, text: BinaryCode(("1000110", text)),
+    ],
+    ids=["encode", "contains", "syndrome_decode", "coset_key", "BinaryCode"],
+)
+def test_bad_word_text_is_refused(pair, use, text):
+    with pytest.raises(ValueError):
+        use(pair, text)
 
-    def test_xor_length_mismatch(self):
-        with pytest.raises(ValueError):
-            BinaryWord.from_string("11") ^ BinaryWord.from_string("111")
 
-    def test_rejects_non_bits(self):
-        with pytest.raises(ValueError):
-            BinaryWord((0, 2, 1))
+def test_surrounding_whitespace_is_ignored(hamming):
+    assert encode(hamming, " 1011\n") == encode(hamming, "1011") == "1011010"
+    assert BinaryCode((" 1000110", "0100101\n")).generators == ("1000110", "0100101")
 
 
 class TestBinaryCode:
@@ -117,53 +133,53 @@ class TestBinaryCode:
 
     def test_rejects_dependent_rows(self):
         with pytest.raises(ValueError):
-            BinaryCode.from_rows(["1100", "0110", "1010"])
+            BinaryCode(("1100", "0110", "1010"))
 
     def test_rejects_no_rows(self):
         with pytest.raises(ValueError, match="at least one generator"):
-            BinaryCode.from_rows([])
+            BinaryCode(())
+        with pytest.raises(ValueError, match="nonempty"):
+            BinaryCode(("",))
 
     def test_full_space_contains_every_word(self):
-        full = BinaryCode.from_rows(["100", "010", "001"])
+        full = BinaryCode(("100", "010", "001"))
         assert min_distance(full) == 1
-        for value in range(8):
-            word = BinaryWord.from_string(format(value, "03b"))
+        for word in all_words(3):
             assert contains(full, word)
             assert syndrome_decode(full, word) == word
 
     def test_decoder_refuses_oversized_block(self):
         # construction is fine; only the enumerating decoder is capped
-        wide = BinaryCode.from_rows(["1" + "0" * 24])
+        wide = BinaryCode(("1" + "0" * 24,))
         with pytest.raises(ValueError):
-            syndrome_decode(wide, BinaryWord.zero(25))
+            syndrome_decode(wide, "0" * 25)
 
     def test_encode_is_generator_combination(self, hamming):
         gens = [np.array([int(c) for c in row]) for row in HAMMING_ROWS]
         for bits in itertools.product((0, 1), repeat=4):
-            word = encode(hamming, BinaryWord(bits))
+            word = encode(hamming, "".join(map(str, bits)))
             oracle = np.zeros(7, dtype=int)
             for bit, gen in zip(bits, gens):
                 if bit:
                     oracle ^= gen
-            assert str(word) == "".join(map(str, oracle))
+            assert word == "".join(map(str, oracle))
 
     def test_contains_matches_enumeration(self, hamming):
-        codewords = {str(w) for w in all_codewords(hamming)}
+        codewords = set(all_codewords(hamming))
         assert len(codewords) == 16
-        for value in range(128):
-            text = format(value, "07b")
-            assert contains(hamming, BinaryWord.from_string(text)) == (text in codewords)
+        for text in all_words(7):
+            assert contains(hamming, text) == (text in codewords)
 
     def test_min_distance_hamming(self, hamming):
         assert min_distance(hamming) == 3
 
     def test_min_distance_matches_enumeration(self, hamming, dual):
         for code in (hamming, dual):
-            oracle = min(w.weight() for w in all_codewords(code) if w.weight() > 0)
+            oracle = min(w.count("1") for w in all_codewords(code) if "1" in w)
             assert min_distance(code) == oracle
 
     def test_dual_is_constant_weight(self, dual):
-        weights = {w.weight() for w in all_codewords(dual)}
+        weights = {w.count("1") for w in all_codewords(dual)}
         assert weights == {0, 4}
         assert min_distance(dual) == 4
 
@@ -176,20 +192,19 @@ class TestSyndromeDecode:
     def test_single_errors_corrected(self, hamming):
         for word in all_codewords(hamming):
             for pos in range(7):
-                flipped = word ^ BinaryWord(tuple(int(i == pos) for i in range(7)))
+                flipped = xor(word, format(1 << pos, "07b"))
                 assert syndrome_decode(hamming, flipped) == word
 
     def test_all_words_against_nearest_codeword_oracle(self):
         # the bundled outer code, as the coded protocol loads it
         bundled = load_code(bundled_code_path("hamming74"))
         codewords = all_codewords(bundled)
-        for value in range(128):
-            word = BinaryWord.from_string(format(value, "07b"))
-            best = min((word ^ c).weight() for c in codewords)
+        for word in all_words(7):
+            best = min(xor(word, c).count("1") for c in codewords)
             decoded = syndrome_decode(bundled, word)
             if best <= 1:
                 # unique nearest codeword inside the correction radius
-                nearest = [c for c in codewords if (word ^ c).weight() == best]
+                nearest = [c for c in codewords if xor(word, c).count("1") == best]
                 assert len(nearest) == 1
                 assert decoded == nearest[0]
             else:
@@ -198,16 +213,13 @@ class TestSyndromeDecode:
     def test_hamming_is_perfect(self, hamming):
         # radius-1 balls around all 16 codewords tile GF(2)^7, so the
         # decoder never reports failure for this particular code
-        hits = sum(
-            syndrome_decode(hamming, BinaryWord.from_string(format(v, "07b"))) is not None
-            for v in range(128)
-        )
+        hits = sum(syndrome_decode(hamming, word) is not None for word in all_words(7))
         assert hits == 128
 
     def test_distance_two_code_rejects_any_error(self):
-        code = BinaryCode.from_rows(["1100", "0110", "0011"])
+        code = BinaryCode(("1100", "0110", "0011"))
         assert min_distance(code) == 2
-        assert syndrome_decode(code, BinaryWord.from_string("1000")) is None
+        assert syndrome_decode(code, "1000") is None
 
 
 class TestNestedCodePair:
@@ -215,7 +227,7 @@ class TestNestedCodePair:
         assert pair.key_length == 1
 
     def test_rejects_length_mismatch(self, hamming):
-        short = BinaryCode.from_rows(["110", "011"])
+        short = BinaryCode(("110", "011"))
         with pytest.raises(ValueError, match="nested code violation"):
             NestedCodePair(c1=hamming, c2=short)
 
@@ -224,7 +236,7 @@ class TestNestedCodePair:
             NestedCodePair(c1=hamming, c2=hamming)
 
     def test_rejects_non_subset(self, hamming):
-        outside = BinaryCode.from_rows(["1000000", "0100000", "0010000"])
+        outside = BinaryCode(("1000000", "0100000", "0010000"))
         with pytest.raises(ValueError, match="nested code violation"):
             NestedCodePair(c1=hamming, c2=outside)
 
@@ -233,7 +245,7 @@ class TestCosetKey:
     def test_partition_sizes(self, pair, hamming):
         keys = {}
         for word in all_codewords(hamming):
-            keys.setdefault(str(coset_key(pair, word)), []).append(word)
+            keys.setdefault(coset_key(pair, word), []).append(word)
         assert sorted(len(v) for v in keys.values()) == [8, 8]
         assert set(keys) == {"0", "1"}
 
@@ -241,22 +253,22 @@ class TestCosetKey:
         for word in all_codewords(hamming):
             base = coset_key(pair, word)
             for inner in all_codewords(dual):
-                assert coset_key(pair, word ^ inner) == base
+                assert coset_key(pair, xor(word, inner)) == base
 
     def test_inner_words_map_to_zero(self, pair, dual):
         for word in all_codewords(dual):
-            assert coset_key(pair, word) == BinaryWord.zero(1)
+            assert coset_key(pair, word) == "0"
 
     def test_separates_cosets(self, pair, hamming, dual):
-        inner = {str(w) for w in all_codewords(dual)}
+        inner = set(all_codewords(dual))
         for a in all_codewords(hamming):
             for b in all_codewords(hamming):
-                same = str(a ^ b) in inner
+                same = xor(a, b) in inner
                 assert (coset_key(pair, a) == coset_key(pair, b)) == same
 
     def test_rejects_non_member(self, pair):
         with pytest.raises(ValueError):
-            coset_key(pair, BinaryWord.from_string("1000000"))
+            coset_key(pair, "1000000")
 
 
 class TestReedMullerPair:
@@ -271,21 +283,20 @@ class TestReedMullerPair:
     def test_labels_split_outer_code_into_inner_cosets(self, rm_pair):
         classes = {}
         for word in all_codewords(rm_pair.c1):
-            classes.setdefault(str(coset_key(rm_pair, word)), []).append(word)
+            classes.setdefault(coset_key(rm_pair, word), []).append(word)
         assert len(classes) == 64
         assert all(len(members) == 32 for members in classes.values())
         # 32 words with one label, all in the coset of the first one:
         # each label class is exactly one coset of RM(1,4)
         for members in classes.values():
-            assert all(contains(rm_pair.c2, members[0] ^ w) for w in members)
-        assert str(coset_key(rm_pair, BinaryWord.zero(16))) == "000000"
+            assert all(contains(rm_pair.c2, xor(members[0], w)) for w in members)
+        assert coset_key(rm_pair, "0" * 16) == "000000"
 
     def test_decoder_matches_nearest_codeword_oracle(self, rm_pair):
         # every word of GF(2)^16: the one codeword within distance 1, or a
         # reported failure
         c1 = rm_pair.c1
-        for value, nearest in enumerate(nearest_codewords(all_codewords(c1))):
-            word = BinaryWord.from_string(format(value, "016b"))
+        for word, nearest in zip(all_words(16), nearest_codewords(all_codewords(c1))):
             assert syndrome_decode(c1, word) == nearest
 
     @pytest.mark.parametrize(
@@ -302,7 +313,7 @@ class TestReedMullerPair:
         ],
     )
     def test_recorded_keys(self, rm_pair, word, key):
-        assert str(coset_key(rm_pair, BinaryWord.from_string(word))) == key
+        assert coset_key(rm_pair, word) == key
 
 
 class TestCodewordSuperposition:
@@ -310,7 +321,7 @@ class TestCodewordSuperposition:
         word = all_codewords(hamming)[5]
         probs = np.abs(coset_state(pair, word).amps) ** 2
         support = {i for i, p in enumerate(probs) if p > 1e-12}
-        coset = {int(str(word ^ inner), 2) for inner in all_codewords(dual)}
+        coset = {int(xor(word, inner), 2) for inner in all_codewords(dual)}
         assert support == coset
         np.testing.assert_allclose(
             [probs[i] for i in sorted(support)], [1 / 8] * 8, atol=1e-12
@@ -318,7 +329,7 @@ class TestCodewordSuperposition:
 
     def test_same_coset_same_state(self, pair, hamming, dual):
         word = all_codewords(hamming)[3]
-        shifted = word ^ all_codewords(dual)[5]
+        shifted = xor(word, all_codewords(dual)[5])
         assert coset_key(pair, word) == coset_key(pair, shifted)
         same = fidelity(coset_state(pair, word), coset_state(pair, shifted))
         assert same == pytest.approx(1.0, abs=1e-12)
@@ -349,10 +360,6 @@ class TestPositionAssignment:
         b = _position_kinds(7, 10, 10, np.random.default_rng(5))
         assert np.array_equal(a, b)
 
-    def test_rejects_zero_counts(self):
-        with pytest.raises(ValueError):
-            _position_kinds(0, 5, 5, np.random.default_rng(0))
-
 
 class TestQkdConfig:
     def test_default_thresholds(self, pair):
@@ -368,6 +375,8 @@ class TestQkdConfig:
     def test_validation(self, pair):
         with pytest.raises(ValueError):
             QkdConfig(pair=pair, m=0, l=10)
+        with pytest.raises(ValueError):
+            QkdConfig(pair=pair, m=10, l=0)
         with pytest.raises(ValueError):
             QkdConfig(pair=pair, m=10, l=10, t=11)
         with pytest.raises(ValueError):
@@ -455,8 +464,8 @@ class TestRunQkdBlock:
     def test_decode_failure_counted_not_fatal(self):
         # outer code with distance 2 has a bare syndrome table: any
         # single error is an uncorrectable coset and must be tallied
-        outer = BinaryCode.from_rows(["1100", "0110", "0011"])
-        inner = BinaryCode.from_rows(["1111"])
+        outer = BinaryCode(("1100", "0110", "0011"))
+        inner = BinaryCode(("1111",))
         weak = NestedCodePair(c1=outer, c2=inner)
         config = QkdConfig(pair=weak, m=10, l=10)
         result = run_qkd_block(
@@ -495,7 +504,7 @@ class TestRunQkdSession:
         assert report.total_key_bits == 0
 
     def test_seeded_reports_are_pinned(self, pair, rm_pair):
-        # the sha256 of the reports' repr over an attack x noise grid, on
+        # the sha256 of the reports' values over an attack x noise grid, on
         # both code pairs with default and loose thresholds; any change to
         # a draw, an outcome, a decode or a key label moves it
         attacks = [
@@ -515,7 +524,7 @@ class TestRunQkdSession:
                             pair=code_pair, m=20, l=20, blocks=10, eve=eve, noise=noise,
                             seed=3, **thresholds,
                         )
-                        digest.update(repr(run_qkd_session(config)).encode())
+                        digest.update(report_values(run_qkd_session(config)).encode())
         assert digest.hexdigest() == SEEDED_REPORTS_SHA256
 
 

@@ -1,6 +1,5 @@
 """Property tests of the GF(2) layer on random nested code pairs, n <= 10."""
 
-import itertools
 import tempfile
 
 import numpy as np
@@ -11,10 +10,9 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 from hypothesis.configuration import set_hypothesis_home_dir  # noqa: E402
 from hypothesis.extra.numpy import arrays  # noqa: E402
 
-from oracles import nearest_codewords  # noqa: E402
+from oracles import all_words, nearest_codewords, xor  # noqa: E402
 from pingpong_qkd.css_qkd import (  # noqa: E402
     BinaryCode,
-    BinaryWord,
     NestedCodePair,
     _parity_check,
     coset_key,
@@ -57,7 +55,7 @@ def invertible(draw, k):
 
 
 def code(matrix):
-    return BinaryCode.from_rows(["".join(map(str, row)) for row in matrix])
+    return BinaryCode(tuple("".join(map(str, row)) for row in matrix))
 
 
 @st.composite
@@ -74,14 +72,14 @@ def nested_pairs(draw):
 
 
 def codewords(c):
-    return [encode(c, BinaryWord(m)) for m in itertools.product((0, 1), repeat=c.k)]
+    return [encode(c, message) for message in all_words(c.k)]
 
 
 @PROPERTY
 @given(nested_pairs())
 def test_parity_check_is_a_full_dual_basis(pair):
     for c in (pair.c1, pair.c2):
-        g = np.array([w.bits for w in c.generators], dtype=np.uint8)
+        g = np.array([list(row) for row in c.generators], dtype=np.uint8)
         check = _parity_check(c)
         assert check.shape == (c.n - c.k, c.n)
         assert not ((g @ check.T) & 1).any()
@@ -91,18 +89,18 @@ def test_parity_check_is_a_full_dual_basis(pair):
 @PROPERTY
 @given(nested_pairs())
 def test_coset_key_labels_each_coset_once(pair):
-    inner = {str(w) for w in codewords(pair.c2)}
+    inner = set(codewords(pair.c2))
     classes = {}
     for word in codewords(pair.c1):
         key = coset_key(pair, word)
         assert len(key) == pair.key_length
-        classes.setdefault(str(key), []).append(word)
+        classes.setdefault(key, []).append(word)
     # constant on cosets: every class lies in one coset; injective
     # across them: there are as many classes as cosets
     assert len(classes) == 1 << pair.key_length
     for members in classes.values():
-        assert all(str(members[0] ^ w) in inner for w in members)
-    assert all(str(w) in inner for w in classes["0" * pair.key_length])
+        assert all(xor(members[0], w) in inner for w in members)
+    assert all(w in inner for w in classes["0" * pair.key_length])
 
 
 @PROPERTY
@@ -111,6 +109,5 @@ def test_decoder_matches_nearest_codeword_search_on_every_word(pair):
     # inside the packing radius the decode is the one codeword there;
     # beyond it the table reports failure
     c1 = pair.c1
-    for value, nearest in enumerate(nearest_codewords(codewords(c1))):
-        word = BinaryWord.from_string(format(value, f"0{c1.n}b"))
+    for word, nearest in zip(all_words(c1.n), nearest_codewords(codewords(c1))):
         assert syndrome_decode(c1, word) == nearest
