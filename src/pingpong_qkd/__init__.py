@@ -31,7 +31,6 @@ from .quantum_core import (
     product_state,
 )
 from .infotheory import (
-    JointCounts2x2,
     binary_entropy,
     bob_info_symmetric,
     detection_threshold,

@@ -27,7 +27,6 @@ from .quantum_core import (
     discrimination_basis,
     measure_computational,
     prepare_polarized,
-    product_state,
 )
 
 # angles given as rounded literals (1.5708 for pi/2) land slightly past
@@ -130,11 +129,23 @@ def intercept_resend(
 
 @lru_cache(maxsize=_ANGLE_CACHE)
 def _forged(collapsed: TwoQubitState, theta: float, bit: int) -> TwoQubitState:
-    # the collapsed home qubit times the resent qubit.  The key holds the
-    # collapsed state by identity, which is stable: the memo of the pair
-    # it collapsed from returns the same object every round.
-    home = _trusted_state(np.ascontiguousarray(collapsed.amps.reshape(2, 2)[:, bit]), 1)
-    return product_state(home, resend_state(theta, bit))
+    # ``resend_rows`` of the one pair.  The key holds the collapsed state
+    # by identity, which is stable: the memo of the pair it collapsed
+    # from returns the same object every round.
+    return _trusted_state(resend_rows(collapsed.amps[None], np.array([bit]), theta)[0], 2)
+
+
+def resend_rows(collapsed: np.ndarray, bits: np.ndarray, theta: float) -> np.ndarray:
+    """The pairs forwarded after intercepting each row's travel qubit.
+
+    Row r of ``collapsed`` is a (home, travel) pair whose travel qubit
+    was found to be ``bits[r]``; its home qubit is paired with
+    ``resend_state(theta, bits[r])``.
+    """
+    rows = collapsed.shape[0]
+    home = collapsed.reshape(rows, 2, 2)[np.arange(rows), :, bits]
+    resent = np.array([resend_state(theta, bit).amps for bit in (0, 1)])[bits]
+    return (home[:, :, None] * resent[:, None, :]).reshape(rows, 4)
 
 
 @lru_cache(maxsize=_ANGLE_CACHE)

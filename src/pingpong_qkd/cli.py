@@ -305,9 +305,17 @@ def _block_entry(result: css_qkd.QkdResult, reveal: bool) -> dict:
 
 def cmd_qkd(args: argparse.Namespace) -> int:
     values = _merge_config(args, QKD_OPTIONS)
-    values["c1"] = values["c1"] or str(css_qkd.bundled_code_path("hamming74.code"))
-    values["c2"] = values["c2"] or str(css_qkd.bundled_code_path("hamming74dual.code"))
-    pair = css_qkd.NestedCodePair(_resolve_code(values["c1"]), _resolve_code(values["c2"]))
+    codes = []
+    for key, default in (("c1", "hamming74.code"), ("c2", "hamming74dual.code")):
+        if values[key]:
+            codes.append(_resolve_code(values[key]))
+        else:
+            # echoed by its bare name, so the report does not depend on the
+            # checkout, but loaded from the package, so a file of that name
+            # in the working directory does not shadow it
+            values[key] = default
+            codes.append(css_qkd.load_code(css_qkd.bundled_code_path(default)))
+    pair = css_qkd.NestedCodePair(*codes)
     config, echo = _configure(css_qkd.QkdConfig, QKD_OPTIONS, values, pair=pair)
     report = css_qkd.run_qkd_session(config)
     print(

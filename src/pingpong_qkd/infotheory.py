@@ -9,8 +9,6 @@ symmetric entangling attack carries 1 - H(sin^2 alpha) bits.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .attacks import _canonical_angle
@@ -99,42 +97,22 @@ def detection_threshold(tolerance: float = 1e-6) -> float:
     return 0.5 * (lo + hi)
 
 
-# the field that counts each pair of bits, indexed [a][b]
-_CELLS = (("c00", "c01"), ("c10", "c11"))
-
-
-@dataclass
-class JointCounts2x2:
-    """Mutable 2x2 contingency table of paired bit observations."""
-
-    c00: int = 0
-    c01: int = 0
-    c10: int = 0
-    c11: int = 0
-
-    def add(self, a: int, b: int) -> None:
-        if a not in (0, 1) or b not in (0, 1):
-            raise ValueError(f"counts index bits, got ({a!r}, {b!r})")
-        name = _CELLS[int(a)][int(b)]
-        setattr(self, name, getattr(self, name) + 1)
-
-    def total(self) -> int:
-        return self.c00 + self.c01 + self.c10 + self.c11
-
-
-def empirical_mutual_information(counts: JointCounts2x2) -> float:
+def empirical_mutual_information(counts) -> float:
     """Plug-in mutual information of a 2x2 contingency table, in bits.
 
+    ``counts[a][b]`` is the number of observations of the pair (a, b).
     Zero cells contribute zero.  The result is clamped at 0 so float
     rounding never produces a negative estimate.
     """
-    cells = (counts.c00, counts.c01, counts.c10, counts.c11)
-    if any(c < 0 for c in cells):
+    counts = np.asarray(counts)
+    if counts.shape != (2, 2):
+        raise ValueError(f"expected a 2x2 table of counts, got shape {counts.shape}")
+    if np.any(counts < 0):
         raise ValueError("negative cell count")
-    total = counts.total()
+    total = counts.sum()
     if total <= 0:
         raise ValueError("empty contingency table")
-    joint = np.array(cells, dtype=np.float64).reshape(2, 2) / total
+    joint = counts.astype(np.float64) / total
     row = joint.sum(axis=1)
     col = joint.sum(axis=0)
     info = 0.0

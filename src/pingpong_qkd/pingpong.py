@@ -57,7 +57,7 @@ from .attacks import (
     detection_probability_measurement,
     intercept_resend,
     omega_state,
-    resend_state,
+    resend_rows,
     return_discrimination_basis,
 )
 from .quantum_core import (
@@ -87,7 +87,7 @@ from .quantum_core import (
     measure_rows_in_basis,
     noise_paulis,
 )
-from .infotheory import JointCounts2x2, empirical_mutual_information
+from .infotheory import empirical_mutual_information
 
 # Bell outcome -> message bit.  The phi outcomes only occur under attack
 # or noise and are assigned to the opposite bit of their psi partner, so
@@ -267,10 +267,7 @@ def send_stage(
     states = _SENT[paulis]
     if intercepting:
         intercept, collapsed = measure_rows(states, TRAVEL, u[:, -1])
-        # the collapsed home qubit, times the resent qubit
-        home = collapsed.reshape(rows, 2, 2)[np.arange(rows), :, intercept]
-        resent = np.array([resend_state(eve.theta, bit).amps for bit in (0, 1)])[intercept]
-        states = (home[:, :, None] * resent[:, None, :]).reshape(rows, 4)
+        states = resend_rows(collapsed, intercept, eve.theta)
     return states, intercept
 
 
@@ -382,10 +379,10 @@ def run_session(config: ProtocolConfig) -> SessionReport:
     """
     rng = np.random.default_rng(config.seed)
     n_control = n_coincidence = 0
-    n_message = n_bob_errors = 0
-    n_guesses = n_guesses_right = 0
-    counts_ab = JointCounts2x2()
-    counts_ae = JointCounts2x2()
+    # counts_ab[a][b]: rounds with Alice's bit a decoded by Bob as b;
+    # counts_ae[a][g]: the same for the eavesdropper's guess g
+    counts_ab = [[0, 0], [0, 0]]
+    counts_ae = [[0, 0], [0, 0]]
 
     for _ in range(config.rounds):
         outcome = run_round(config, rng)
@@ -394,24 +391,19 @@ def run_session(config: ProtocolConfig) -> SessionReport:
             if outcome.coincidence:
                 n_coincidence += 1
             continue
-        n_message += 1
-        if outcome.bob_decoded != outcome.alice_bit:
-            n_bob_errors += 1
-        counts_ab.add(outcome.alice_bit, outcome.bob_decoded)
-        guess = outcome.eve.guess_bit
-        if guess is not None:
-            n_guesses += 1
-            if guess == outcome.alice_bit:
-                n_guesses_right += 1
-            counts_ae.add(outcome.alice_bit, guess)
+        counts_ab[outcome.alice_bit][outcome.bob_decoded] += 1
+        if outcome.eve.guess_bit is not None:
+            counts_ae[outcome.alice_bit][outcome.eve.guess_bit] += 1
 
+    n_message = sum(map(sum, counts_ab))
+    n_guesses = sum(map(sum, counts_ae))
     return SessionReport(
         n_control=n_control,
         n_coincidence=n_coincidence,
         detection_rate=n_coincidence / n_control if n_control else None,
         n_message=n_message,
-        bob_error_rate=n_bob_errors / n_message if n_message else None,
-        eve_accuracy=n_guesses_right / n_guesses if n_guesses else None,
+        bob_error_rate=(counts_ab[0][1] + counts_ab[1][0]) / n_message if n_message else None,
+        eve_accuracy=(counts_ae[0][0] + counts_ae[1][1]) / n_guesses if n_guesses else None,
         i_ab_hat=empirical_mutual_information(counts_ab) if n_message else None,
         i_ae_hat=empirical_mutual_information(counts_ae) if n_guesses else None,
         theory=expected_report(config),

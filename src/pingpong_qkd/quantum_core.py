@@ -4,46 +4,47 @@ States are dense complex statevectors over n qubits with qubit 0 as the
 most significant index bit: for two qubits the basis order is
 |00>, |01>, |10>, |11> with the first (home) qubit leftmost.  States
 are immutable: amplitude arrays are frozen read-only, and a kernel never
-changes the state it is given.  A kernel may return a shared state
-rather than a new one.  Each state keeps, in a private memo, what the
-single-state kernels derived from it, filled on first use:
+changes the state it is given.  Randomness always comes from an explicit
+numpy Generator passed by the caller, never from module-level state.
 
-* ``apply_pauli_x``/``_y``/``_z``: the image, keyed by kernel and qubit;
+The physics is written once, in the row kernels (``apply_paulis``,
+``apply_pauli_pairs``, ``measure_rows``, ``measure_rows_both``,
+``measure_rows_in_basis``, ``bell_sample_rows``).  They act on a
+(rows, 2**n) complex array holding one register per row, in the same
+basis order, read the register width from the array, and take one
+uniform per row and measurement from the caller: outcome 1 where the
+uniform is below its Born weight.  Sessions and coded blocks share them.
+
+The single-state kernels (``apply_pauli_x``/``_y``/``_z``,
+``apply_noise``, ``measure_computational``, ``measure_in_basis``,
+``bell_measure``) are a bounded memo over the row kernels.  Each state
+keeps, in a private memo, what they derived from it, filled on first
+use by a row kernel, or a piece of one, applied to the state as a
+one-row array:
+
+* the Pauli images, keyed by Pauli index and qubit;
 * ``measure_computational``: P(1), keyed by qubit, and each collapsed
   state, built the first time its outcome is drawn;
 * ``measure_in_basis``: P(1) and the collapsed states for the last basis
   used on that qubit (a call in another basis replaces them);
 * ``bell_measure``: the cumulative Bell weights.
 
-Every call still draws its own uniform and compares it with the same
-float an uncached computation gives, so outcomes and amplitudes do not
-depend on what was cached.  The zero-probability and width checks run
-on every call, and invalid qubits and bases are never cached, so they
-raise on every call.  The memo is bounded: it holds a fixed set of keys,
-and a state more than ``_MEMO_DEPTH`` kernel steps from one built
-directly keeps no successor states, so a loop that feeds each result
-back into a kernel cannot chain an unbounded number of states to a
-long-lived one.  A state lives as long as whatever refers to it; the
-attack states of each angle sit under fixed-size caches in ``attacks``.
-Sharing between threads stays safe: a memo entry is a pure function of
-the immutable amplitudes (and, for ``measure_in_basis``, of the basis
-stored in the same entry, with its collapsed states), stored by one
-assignment, so two threads that fill the same entry at once store equal
-values and either one is correct.
-
-Randomness always comes from an explicit numpy Generator passed by the
-caller, never from module-level state.
-
-The row kernels (``apply_paulis``, ``apply_pauli_pairs``,
-``measure_rows``, ``measure_rows_both``, ``measure_rows_in_basis``,
-``bell_sample_rows``) act on a (rows, 4) complex array holding one
-two-qubit pair per row, in the same basis order.  They take one uniform
-per row and measurement from the caller and compare it with the Born
-weight exactly as the single-state kernels compare their own draw, so
-the same uniforms give the same outcomes.  The one exception is the
-second outcome of ``measure_rows_both``: its conditional weight is a
-quotient of Born weights rather than the weight of a renormalized row,
-which can differ in the last bit.
+A kernel may therefore return a shared state rather than a new one.
+Every call draws its own uniform and compares it with the cached weight,
+so a call gives the outcome and amplitudes its row kernel gives for the
+same uniform, whatever was cached.  The zero-probability and width
+checks run on every call, and invalid qubits and bases are never
+cached, so they raise on every call.  The memo is bounded: it holds a
+fixed set of keys, and a state more than ``_MEMO_DEPTH`` kernel steps
+from one built directly keeps no successor states, so a loop that feeds
+each result back into a kernel cannot chain an unbounded number of
+states to a long-lived one.  A state lives as long as whatever refers
+to it; the attack states of each angle sit under fixed-size caches in
+``attacks``.  Sharing between threads stays safe: a memo entry is a
+pure function of the immutable amplitudes (and, for
+``measure_in_basis``, of the basis stored in the same entry, with its
+collapsed states), stored by one assignment, so two threads that fill
+the same entry at once store equal values and either one is correct.
 """
 
 from __future__ import annotations
@@ -65,6 +66,8 @@ NORM_TOL = 1e-12
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
+# Pauli indices for the row kernels and the memo keys of the Pauli images
+PAULI_I, PAULI_X, PAULI_Y, PAULI_Z = range(4)
 
 # a state this many kernel steps from one built directly keeps no
 # successor states; a session round takes at most three steps from
@@ -185,58 +188,42 @@ def product_state(first: PureState, second: PureState) -> PureState:
     return _trusted_state(np.outer(first.amps, second.amps).ravel(), n)
 
 
-def _bit_mask(n_qubits: int, qubit: int) -> int:
-    if not 0 <= qubit < n_qubits:
-        raise ValueError(f"qubit {qubit} outside register of {n_qubits}")
-    return 1 << (n_qubits - 1 - qubit)
+def _bit_mask(width: int, qubit: int) -> int:
+    # the index bit of ``qubit`` in a register of ``width`` amplitudes
+    n = width.bit_length() - 1
+    if not 0 <= qubit < n:
+        raise ValueError(f"qubit {qubit} outside register of {n}")
+    return 1 << (n - 1 - qubit)
 
 
 @lru_cache(maxsize=None)
-def _flip_index(n_qubits: int, qubit: int) -> np.ndarray:
-    mask = _bit_mask(n_qubits, qubit)
-    idx = np.arange(1 << n_qubits) ^ mask
-    idx.flags.writeable = False
-    return idx
+def _ones(width: int, qubit: int) -> np.ndarray:
+    # True at the indices where ``qubit`` is 1
+    one = (np.arange(width) & _bit_mask(width, qubit)) != 0
+    one.flags.writeable = False
+    return one
 
 
-@lru_cache(maxsize=None)
-def _bit_values(n_qubits: int, qubit: int) -> np.ndarray:
-    _bit_mask(n_qubits, qubit)  # rejects a qubit outside the register
-    shift = n_qubits - 1 - qubit
-    bits = (np.arange(1 << n_qubits) >> shift) & 1
-    bits.flags.writeable = False
-    return bits
+def _pauli_image(state: PureState, pauli: int, qubit: int) -> PureState:
+    # fills the memo entry (pauli, qubit) from apply_paulis; the kernels
+    # read the entry with ``memo.get(...) or``, as a state is never falsy
+    new = apply_paulis(state.amps[None], pauli, qubit)[0]
+    return _successor(state, state._memo, (pauli, qubit), new)
 
 
 def apply_pauli_x(state: PureState, qubit: int) -> PureState:
     """Bit flip X on one qubit."""
-    key = ("x", qubit)
-    image = state._memo.get(key)
-    if image is None:
-        new = state.amps[_flip_index(state.n_qubits, qubit)].copy()
-        image = _successor(state, state._memo, key, new)
-    return image
+    return state._memo.get((PAULI_X, qubit)) or _pauli_image(state, PAULI_X, qubit)
 
 
 def apply_pauli_y(state: PureState, qubit: int) -> PureState:
     """Pauli Y on one qubit: Y|0> = i|1>, Y|1> = -i|0>."""
-    key = ("y", qubit)
-    image = state._memo.get(key)
-    if image is None:
-        phase = np.where(_bit_values(state.n_qubits, qubit) == 1, 1j, -1j)
-        new = state.amps[_flip_index(state.n_qubits, qubit)] * phase
-        image = _successor(state, state._memo, key, new)
-    return image
+    return state._memo.get((PAULI_Y, qubit)) or _pauli_image(state, PAULI_Y, qubit)
 
 
 def apply_pauli_z(state: PureState, qubit: int) -> PureState:
     """Phase flip Z on one qubit: negates amplitudes where the qubit is 1."""
-    key = ("z", qubit)
-    image = state._memo.get(key)
-    if image is None:
-        bits = _bit_values(state.n_qubits, qubit)
-        image = _successor(state, state._memo, key, np.where(bits == 1, -state.amps, state.amps))
-    return image
+    return state._memo.get((PAULI_Z, qubit)) or _pauli_image(state, PAULI_Z, qubit)
 
 
 def measure_computational(
@@ -249,28 +236,19 @@ def measure_computational(
     memo = state._memo
     p_one = memo.get(("p1", qubit))
     if p_one is None:
-        probs = np.abs(state.amps) ** 2
-        p_one = float(probs[_bit_values(state.n_qubits, qubit) == 1].sum())
-        memo[("p1", qubit)] = p_one
-    outcome = 1 if rng.random() < p_one else 0
+        p_one = memo[("p1", qubit)] = float(_p_one(state.amps[None], qubit)[0])
+    u = rng.random()
+    outcome = 1 if u < p_one else 0
     p_outcome = p_one if outcome == 1 else 1.0 - p_one
     if p_outcome <= 0.0:
         raise RuntimeError("sampled a zero-probability branch")
     key = ("collapsed", qubit, outcome)
     collapsed = memo.get(key)
     if collapsed is None:
-        keep = _bit_values(state.n_qubits, qubit) == outcome
-        new = np.where(keep, state.amps, 0.0) / np.sqrt(p_outcome)
-        collapsed = _successor(state, memo, key, new)
+        # the same uniform draws the same outcome from the same weight
+        _, rows = measure_rows(state.amps[None], qubit, np.array([u]))
+        collapsed = _successor(state, memo, key, rows[0])
     return outcome, collapsed
-
-
-def _basis_coefficients(state: PureState, qubit: int, b: PureState) -> np.ndarray:
-    # <b| on the measured qubit, with the amplitudes grouped as (prefix,
-    # measured qubit, suffix) so the projection is two slice contractions
-    # instead of a full tensor transpose
-    view = state.amps.reshape(-1, 2, 1 << (state.n_qubits - 1 - qubit))
-    return b.amps[0].conjugate() * view[:, 0, :] + b.amps[1].conjugate() * view[:, 1, :]
 
 
 def measure_in_basis(
@@ -293,32 +271,21 @@ def measure_in_basis(
             raise ValueError("basis states must be single qubits")
         if abs(np.vdot(b0.amps, b1.amps)) > 1e-10:
             raise ValueError("basis states are not orthogonal")
-        n = state.n_qubits
-        if not 0 <= qubit < n:
-            raise ValueError(f"qubit {qubit} outside register of {n}")
-        p_one = float(np.sum(np.abs(_basis_coefficients(state, qubit, b1)) ** 2))
+        _, p_one = _basis_weights(state.amps[None], qubit, (b0, b1))
         # the collapsed states live inside the basis's own entry, so one
         # found under another basis is never returned
-        cached = memo[key] = ((b0, b1), p_one, [None, None])
+        cached = memo[key] = ((b0, b1), float(p_one[0]), [None, None])
     basis, p_one, collapsed_by_outcome = cached
-    outcome = 1 if rng.random() < p_one else 0
+    u = rng.random()
+    outcome = 1 if u < p_one else 0
     p_outcome = p_one if outcome == 1 else 1.0 - p_one
     if p_outcome <= 0.0:
         raise RuntimeError("sampled a zero-probability branch")
     collapsed = collapsed_by_outcome[outcome]
     if collapsed is None:
-        b = basis[outcome]
-        scaled = _basis_coefficients(state, qubit, b) / np.sqrt(p_outcome)
-        new = np.empty(scaled.shape[:1] + (2,) + scaled.shape[1:], dtype=np.complex128)
-        new[:, 0, :] = b.amps[0] * scaled
-        new[:, 1, :] = b.amps[1] * scaled
-        collapsed = _successor(state, collapsed_by_outcome, outcome, new.reshape(-1))
+        _, rows = measure_rows_in_basis(state.amps[None], qubit, basis, np.array([u]))
+        collapsed = _successor(state, collapsed_by_outcome, outcome, rows[0])
     return outcome, collapsed
-
-
-def _bell_weights(amps: np.ndarray) -> np.ndarray:
-    # Born weight of each Bell state, in BELL_ORDER, for (..., 4) amplitudes
-    return np.abs(amps @ _BELL_MATRIX.T) ** 2
 
 
 def bell_measure(state: TwoQubitState, rng: np.random.Generator) -> BellOutcome:
@@ -330,48 +297,39 @@ def bell_measure(state: TwoQubitState, rng: np.random.Generator) -> BellOutcome:
     _require_two_qubits(state)
     cumulative = state._memo.get("bell")
     if cumulative is None:
-        weights = _bell_weights(state.amps)
-        acc, sums = 0.0, []
-        for kind in BELL_ORDER[:-1]:
-            acc += weights[kind.value]
-            sums.append(float(acc))
-        cumulative = state._memo["bell"] = tuple(sums)
+        cumulative = tuple(float(acc[0]) for acc in _bell_cumulative(state.amps[None]))
+        state._memo["bell"] = cumulative
     return BELL_ORDER[bisect_right(cumulative, rng.random())]
 
 
-# Pauli indices for the row kernels
-PAULI_I, PAULI_X, PAULI_Y, PAULI_Z = range(4)
-
-
 @lru_cache(maxsize=None)
-def _pauli_tables(qubit: int) -> tuple[np.ndarray, np.ndarray]:
-    # row g: the index gather and the phase of Pauli g on one qubit of a
-    # pair, as apply_pauli_x/y/z compute them
-    same = np.arange(4)
-    flip = _flip_index(2, qubit)
-    one = _bit_values(2, qubit) == 1
+def _pauli_tables(width: int, qubit: int) -> tuple[np.ndarray, np.ndarray]:
+    # row g: the index gather and the phase of Pauli g on ``qubit``
+    same = np.arange(width)
+    flip = same ^ _bit_mask(width, qubit)
+    one = _ones(width, qubit)
     perm = np.stack([same, flip, flip, same])
     phase = np.stack(
-        [np.ones(4), np.ones(4), np.where(one, 1j, -1j), np.where(one, -1.0, 1.0)]
+        [np.ones(width), np.ones(width), np.where(one, 1j, -1j), np.where(one, -1.0, 1.0)]
     ).astype(np.complex128)
     perm.flags.writeable = False
     phase.flags.writeable = False
     return perm, phase
 
 
-def apply_paulis(states: np.ndarray, paulis: np.ndarray, qubit: int) -> np.ndarray:
+def apply_paulis(states: np.ndarray, paulis: np.ndarray | int, qubit: int) -> np.ndarray:
     """Apply Pauli ``paulis[r]`` (``PAULI_I`` .. ``PAULI_Z``) to ``qubit`` of row r."""
-    perm, phase = _pauli_tables(qubit)
+    perm, phase = _pauli_tables(states.shape[1], qubit)
     rows = np.arange(states.shape[0])[:, None]
     return states[rows, perm[paulis]] * phase[paulis]
 
 
 @lru_cache(maxsize=None)
-def _pauli_pair_tables(qubit: int) -> tuple[np.ndarray, np.ndarray]:
-    # entry [a, b]: Pauli a and then Pauli b on one qubit of a pair, as
-    # one index gather and one phase; the phases are all 1, -1, i or -i,
-    # so folding them into one product rounds nothing
-    perm, phase = _pauli_tables(qubit)
+def _pauli_pair_tables(width: int, qubit: int) -> tuple[np.ndarray, np.ndarray]:
+    # entry [a, b]: Pauli a and then Pauli b on ``qubit``, as one index
+    # gather and one phase; the phases are all 1, -1, i or -i, so
+    # folding them into one product rounds nothing
+    perm, phase = _pauli_tables(width, qubit)
     both_perm = perm[:, perm]
     both_phase = phase[:, perm] * phase[None]
     both_perm.flags.writeable = False
@@ -386,65 +344,77 @@ def apply_pauli_pairs(
 
     The same amplitudes as two ``apply_paulis`` calls, from one gather.
     """
-    perm, phase = _pauli_pair_tables(qubit)
+    perm, phase = _pauli_pair_tables(states.shape[1], qubit)
     rows = np.arange(states.shape[0])[:, None]
     return states[rows, perm[first, second]] * phase[first, second]
 
 
-@lru_cache(maxsize=None)
-def _one_columns(qubit: int) -> tuple[np.ndarray, int, int]:
-    # the mask of the indices where the qubit is 1, and those two indices
-    one = _bit_values(2, qubit) == 1
-    one.flags.writeable = False
-    low, high = (int(i) for i in np.flatnonzero(one))
-    return one, low, high
+def _p_one(states: np.ndarray, qubit: int) -> np.ndarray:
+    # the Born weight of outcome 1 of ``qubit`` in every row
+    return (np.abs(states[:, _ones(states.shape[1], qubit)]) ** 2).sum(axis=1)
 
 
-def _check_branches(p_outcome: np.ndarray) -> None:
+def _draw(p_one: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # outcome 1 where u < P(1), and the weight of the outcome drawn
+    ones = u < p_one
+    p_outcome = np.where(ones, p_one, 1.0 - p_one)
     if np.count_nonzero(p_outcome <= 0.0):
         raise RuntimeError("sampled a zero-probability branch")
+    return ones, p_outcome
 
 
 def measure_rows(
     states: np.ndarray, qubit: int, u: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """``measure_computational`` of ``qubit`` in every row, outcome 1 where u < P(1).
+    """Z-basis measurement of ``qubit`` in every row, outcome 1 where u < P(1).
 
     Returns the outcome bits and the renormalized collapsed rows.
     """
-    one, low, high = _one_columns(qubit)
-    probs = np.abs(states) ** 2
-    # added in index order, as measure_computational's sum adds them
-    p_one = probs[:, low] + probs[:, high]
-    ones = u < p_one
-    p_outcome = np.where(ones, p_one, 1.0 - p_one)
-    _check_branches(p_outcome)
-    collapsed = np.where(one == ones[:, None], states, 0.0) / np.sqrt(p_outcome)[:, None]
+    ones, p_outcome = _draw(_p_one(states, qubit), u)
+    keep = _ones(states.shape[1], qubit) == ones[:, None]
+    collapsed = np.where(keep, states, 0.0) / np.sqrt(p_outcome)[:, None]
     return ones.astype(np.intp), collapsed
 
 
+@lru_cache(maxsize=None)
+def _control_masks(width: int) -> np.ndarray:
+    # columns: the masks where the travel qubit is 1, and where the home
+    # qubit is 1 with the travel qubit 1 and with it 0, as 0/1 floats
+    travel, home = _ones(width, TRAVEL), _ones(width, HOME)
+    masks = np.stack([travel, home & travel, home & ~travel], axis=1).astype(np.float64)
+    masks.flags.writeable = False
+    return masks
+
+
 def measure_rows_both(states: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``measure_rows`` of the travel qubit, then of the home qubit, in every row.
+    """``measure_rows`` of the travel qubit, then of the home qubit, in every pair.
 
     The travel outcome is 1 where ``u[:, 0]`` < P(1), as in
     ``measure_rows``; the home outcome is 1 where ``u[:, 1]`` is below
     the home qubit's P(1) given that travel outcome.  Both come from the
-    one array of Born weights, with no collapsed rows built.  Returns
-    the (travel, home) outcome bits.
+    one array of Born weights, with no collapsed rows built, so the
+    conditional weight is a quotient of Born weights rather than the
+    weight of a renormalized row, which can differ in the last bit.
+    Returns the (travel, home) outcome bits.
     """
-    _, low, high = _one_columns(TRAVEL)
-    probs = np.abs(states) ** 2
-    p_one = probs[:, low] + probs[:, high]
-    travel = u[:, 0] < p_one
-    p_travel = np.where(travel, p_one, 1.0 - p_one)
-    _check_branches(p_travel)
-    # the home qubit is 1 at index home_low with the travel qubit 0 and
-    # at home_high with it 1
-    _, home_low, home_high = _one_columns(HOME)
-    p_home = np.where(travel, probs[:, home_high], probs[:, home_low]) / p_travel
-    home = u[:, 1] < p_home
-    _check_branches(np.where(home, p_home, 1.0 - p_home))
+    # a pair's mask columns hold at most two ones, so each product adds
+    # at most two weights and rounds as their sum in measure_rows does
+    weights = (np.abs(states) ** 2) @ _control_masks(states.shape[1])
+    travel, p_travel = _draw(weights[:, 0], u[:, 0])
+    home, _ = _draw(np.where(travel, weights[:, 1], weights[:, 2]) / p_travel, u[:, 1])
     return travel.astype(np.intp), home.astype(np.intp)
+
+
+def _basis_weights(
+    states: np.ndarray, qubit: int, basis: tuple[PureState, PureState]
+) -> tuple[list[np.ndarray], np.ndarray]:
+    # each row's coefficients on the two basis states of ``qubit``, as
+    # (rows, prefix, suffix) arrays, and the Born weight of basis state 1
+    rows = states.shape[0]
+    view = states.reshape(rows, -1, 2, _bit_mask(states.shape[1], qubit))
+    lo, hi = view[:, :, 0, :], view[:, :, 1, :]
+    coeffs = [b.amps[0].conjugate() * lo + b.amps[1].conjugate() * hi for b in basis]
+    return coeffs, (np.abs(coeffs[1]) ** 2).reshape(rows, -1).sum(axis=1)
 
 
 def measure_rows_in_basis(
@@ -453,43 +423,42 @@ def measure_rows_in_basis(
     basis: tuple[PureState, PureState],
     u: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """``measure_in_basis`` of ``qubit`` in every row, all rows in one basis.
+    """Measurement of ``qubit`` in every row, all rows in one orthonormal basis.
 
     Returns the index of the basis state found in each row and the
     collapsed rows.
     """
-    b0, b1 = basis
-    rows = states.shape[0]
-    inner = 1 << (1 - qubit)
-    view = states.reshape(rows, -1, 2, inner)
-    lo, hi = view[:, :, 0, :], view[:, :, 1, :]
-    coeff0 = b0.amps[0].conjugate() * lo + b0.amps[1].conjugate() * hi
-    coeff1 = b1.amps[0].conjugate() * lo + b1.amps[1].conjugate() * hi
-    p_one = (np.abs(coeff1) ** 2).reshape(rows, -1).sum(axis=1)
-    ones = u < p_one
-    p_outcome = np.where(ones, p_one, 1.0 - p_one)
-    _check_branches(p_outcome)
-    found = ones[:, None, None]
-    scaled = np.where(found, coeff1, coeff0) / np.sqrt(p_outcome)[:, None, None]
-    collapsed = np.empty(view.shape, dtype=np.complex128)
-    collapsed[:, :, 0, :] = np.where(found, b1.amps[0], b0.amps[0]) * scaled
-    collapsed[:, :, 1, :] = np.where(found, b1.amps[1], b0.amps[1]) * scaled
-    return ones.astype(np.intp), collapsed.reshape(rows, 4)
+    coeffs, p_one = _basis_weights(states, qubit, basis)
+    ones, p_outcome = _draw(p_one, u)
+    scaled = np.where(ones[:, None, None], coeffs[1], coeffs[0]) / np.sqrt(p_outcome)[:, None, None]
+    found = np.where(ones[:, None], basis[1].amps, basis[0].amps)
+    collapsed = found[:, None, :, None] * scaled[:, :, None, :]
+    return ones.astype(np.intp), collapsed.reshape(states.shape[0], -1)
+
+
+def _bell_weights(amps: np.ndarray) -> np.ndarray:
+    # Born weight of each Bell state, in BELL_ORDER, for (..., 4) amplitudes
+    return np.abs(amps @ _BELL_MATRIX.T) ** 2
+
+
+def _bell_cumulative(states: np.ndarray) -> list[np.ndarray]:
+    # the running sums of the Bell weights of every row, over the first
+    # one, two and three outcomes in BELL_ORDER
+    weights = _bell_weights(states)
+    sums = [weights[:, 0]]
+    for k in (1, 2):
+        sums.append(sums[-1] + weights[:, k])
+    return sums
 
 
 def bell_sample_rows(states: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Bell outcome of every row, as its index in ``BELL_ORDER``.
 
-    The first outcome whose cumulative weight exceeds u, as in
-    ``bell_measure``.
+    The first outcome whose cumulative weight exceeds u, and the last if
+    none does.
     """
-    weights = _bell_weights(states)
-    acc = weights[:, 0]
-    outcomes = (acc <= u).astype(np.intp)
-    for k in (1, 2):
-        acc = acc + weights[:, k]
-        outcomes += acc <= u
-    return outcomes
+    first, second, third = _bell_cumulative(states)
+    return (first <= u).astype(np.intp) + (second <= u) + (third <= u)
 
 
 def discrimination_basis(
@@ -568,25 +537,18 @@ def apply_noise(
     if isinstance(model, NoNoise):
         return state
     if isinstance(model, BitFlip):
-        if rng.random() < model.p:
-            return apply_pauli_x(state, qubit)
-        return state
-    if isinstance(model, PhaseFlip):
-        if rng.random() < model.p:
-            return apply_pauli_z(state, qubit)
-        return state
-    if isinstance(model, Depolarizing):
+        pauli = PAULI_X if rng.random() < model.p else PAULI_I
+    elif isinstance(model, PhaseFlip):
+        pauli = PAULI_Z if rng.random() < model.p else PAULI_I
+    elif isinstance(model, Depolarizing):
         u = rng.random()
         keep = 1.0 - model.p
-        if u < keep:
-            return state
-        branch = min(2, int(3.0 * (u - keep) / model.p))
-        if branch == 0:
-            return apply_pauli_x(state, qubit)
-        if branch == 1:
-            return apply_pauli_y(state, qubit)
-        return apply_pauli_z(state, qubit)
-    raise ValueError(f"unknown noise model {model!r}")
+        pauli = PAULI_I if u < keep else PAULI_X + min(2, int(3.0 * (u - keep) / model.p))
+    else:
+        raise ValueError(f"unknown noise model {model!r}")
+    if pauli == PAULI_I:
+        return state
+    return state._memo.get((pauli, qubit)) or _pauli_image(state, pauli, qubit)
 
 
 def noise_paulis(model: NoiseModel, u: np.ndarray) -> np.ndarray:

@@ -4,10 +4,30 @@ The simulator never needs these: they read a state rather than sample
 it, or build registers wider than a protocol pair.
 """
 
+from functools import reduce
+
 import numpy as np
 
 from pingpong_qkd.css_qkd import NestedCodePair, encode
-from pingpong_qkd.quantum_core import BELL_ORDER, PureState, _bell_weights
+from pingpong_qkd.quantum_core import BELL_ORDER, BellOutcome, PureState, _bell_weights
+
+_INV_SQRT2 = 1.0 / np.sqrt(2.0)
+
+# one-qubit Pauli matrices, in the row kernels' index order I, X, Y, Z
+PAULI_MATRICES = (
+    np.eye(2, dtype=complex),
+    np.array([[0, 1], [1, 0]], dtype=complex),
+    np.array([[0, -1j], [1j, 0]]),
+    np.array([[1, 0], [0, -1]], dtype=complex),
+)
+
+# Bell kets written out independently of the implementation
+BELL_KETS = {
+    BellOutcome.PSI_MINUS: np.array([0, _INV_SQRT2, -_INV_SQRT2, 0], dtype=complex),
+    BellOutcome.PSI_PLUS: np.array([0, _INV_SQRT2, _INV_SQRT2, 0], dtype=complex),
+    BellOutcome.PHI_PLUS: np.array([_INV_SQRT2, 0, 0, _INV_SQRT2], dtype=complex),
+    BellOutcome.PHI_MINUS: np.array([_INV_SQRT2, 0, 0, -_INV_SQRT2], dtype=complex),
+}
 
 
 def fidelity(a: PureState, b: PureState) -> float:
@@ -38,6 +58,29 @@ def coset_state(pair: NestedCodePair, x: str) -> PureState:
     for message in all_words(pair.c2.k):
         amps[int(xor(x, encode(pair.c2, message)), 2)] = 1.0
     return PureState(amps / np.sqrt(amps.sum()))
+
+
+def on_qubit(matrix: np.ndarray, qubit: int, n_qubits: int) -> np.ndarray:
+    """The 2**n matrix of ``matrix`` on one qubit (qubit 0 leftmost), by np.kron."""
+    factors = [np.eye(2)] * n_qubits
+    factors[qubit] = matrix
+    return reduce(np.kron, factors)
+
+
+def projector_collapse(amps: np.ndarray, qubit: int, ket: np.ndarray) -> tuple[float, np.ndarray]:
+    """The weight p of |ket> on ``qubit`` and the collapsed register P|psi>/sqrt(p).
+
+    P is the dense projector |ket><ket| on ``qubit``, identity elsewhere.
+    """
+    n_qubits = amps.shape[0].bit_length() - 1
+    projected = on_qubit(np.outer(ket, ket.conj()), qubit, n_qubits) @ amps
+    p = float(np.vdot(projected, projected).real)
+    return p, projected / np.sqrt(p)
+
+
+def bell_overlaps(amps: np.ndarray) -> np.ndarray:
+    """|<b|psi>|^2 for each of the written-out Bell kets b, in BELL_ORDER."""
+    return np.array([abs(np.vdot(BELL_KETS[kind], amps)) ** 2 for kind in BELL_ORDER])
 
 
 def bell_probabilities(state: PureState) -> dict:

@@ -281,6 +281,30 @@ class TestQkdCommand:
         assert doc["n_completed"] == 0
         assert all(e["result"] == "aborted_control" for e in doc["blocks"])
 
+    def test_default_codes_write_the_same_bytes_from_any_directory(self, tmp_path, monkeypatch):
+        # the omitted codes are echoed by their bare names, and a file of
+        # that name in the working directory does not replace the default
+        args = ("--blocks", "3", "--m", "10", "--l", "10", "--seed", "2", "--out", "qkd.json")
+        runs = {
+            "empty": (),
+            "shadowed": (),
+            "named": ("--c1", "hamming74.code", "--c2", "hamming74dual.code"),
+        }
+        written = {}
+        for name, codes in runs.items():
+            where = tmp_path / name
+            where.mkdir()
+            monkeypatch.chdir(where)
+            if name == "shadowed":
+                (where / "hamming74.code").write_text("3 1\n111\n")
+            assert run_cli("qkd", *codes, *args) == 0
+            written[name] = (where / "qkd.json").read_bytes()
+        assert written["empty"] == written["shadowed"]
+        config = json.loads(written["empty"])["config"]
+        assert (config["c1"], config["c2"]) == ("hamming74.code", "hamming74dual.code")
+        # the bare names read the bundled files, as the defaults do
+        assert written["named"] == written["empty"]
+
     def test_missing_code_file(self, tmp_path, capsys):
         assert run_cli("qkd", "--c1", str(tmp_path / "nope.code"), "--blocks", "1") == 2
         assert "nope.code" in capsys.readouterr().err

@@ -7,7 +7,6 @@ import pytest
 from scipy import optimize, stats
 
 from pingpong_qkd.infotheory import (
-    JointCounts2x2,
     binary_entropy,
     bob_info_symmetric,
     detection_threshold,
@@ -157,15 +156,14 @@ class TestHelstromInfo:
 
 class TestEmpiricalMutualInformation:
     def test_perfectly_correlated(self):
-        counts = JointCounts2x2(c00=500, c01=0, c10=0, c11=500)
-        assert empirical_mutual_information(counts) == pytest.approx(1.0, abs=1e-12)
+        assert empirical_mutual_information([[500, 0], [0, 500]]) == pytest.approx(1.0, abs=1e-12)
 
     def test_independent(self):
-        counts = JointCounts2x2(c00=250, c01=250, c10=250, c11=250)
+        counts = np.full((2, 2), 250)
         assert empirical_mutual_information(counts) == pytest.approx(0.0, abs=1e-12)
 
     def test_binary_symmetric_channel(self):
-        counts = JointCounts2x2(c00=450, c01=50, c10=50, c11=450)
+        counts = np.array([[450, 50], [50, 450]])
         expected = 1.0 - binary_entropy(0.1)
         assert empirical_mutual_information(counts) == pytest.approx(expected, abs=1e-9)
         assert expected == pytest.approx(0.5310044064107189, abs=1e-12)
@@ -173,48 +171,44 @@ class TestEmpiricalMutualInformation:
     def test_nonnegative_on_random_tables(self):
         rng = np.random.default_rng(31)
         for _ in range(100):
-            c = rng.integers(0, 1000, size=4)
+            c = rng.integers(0, 1000, size=(2, 2))
             if c.sum() == 0:
                 continue
-            counts = JointCounts2x2(*(int(x) for x in c))
-            assert empirical_mutual_information(counts) >= 0.0
+            assert empirical_mutual_information(c) >= 0.0
 
-    def test_add_accumulates(self):
-        counts = JointCounts2x2()
-        for a, b in [(0, 0), (0, 1), (1, 1), (1, 1), (0, 0)]:
-            counts.add(a, b)
-        assert (counts.c00, counts.c01, counts.c10, counts.c11) == (2, 1, 0, 2)
-        assert counts.total() == 5
-
-    def test_add_counts_any_bit_type_in_its_cell(self):
-        # bools and numpy ints once named cells like "cTrue0" and were lost
-        counts = JointCounts2x2()
-        for a, b in [(True, False), (np.int64(1), np.int64(1)), (0.0, 1.0), (np.True_, 0)]:
-            counts.add(a, b)
-        assert (counts.c00, counts.c01, counts.c10, counts.c11) == (0, 1, 2, 1)
-        assert sorted(vars(counts)) == ["c00", "c01", "c10", "c11"]
-
-    def test_add_rejects_non_bits(self):
-        counts = JointCounts2x2()
-        with pytest.raises(ValueError):
-            counts.add(2, 0)
+    def test_nested_lists_and_arrays_agree(self):
+        # run_session tallies into nested lists
+        counts = [[7, 3], [2, 9]]
+        assert empirical_mutual_information(counts) == empirical_mutual_information(
+            np.array(counts, dtype=np.int64)
+        )
 
     def test_rejects_empty_table(self):
-        with pytest.raises(ValueError):
-            empirical_mutual_information(JointCounts2x2())
+        with pytest.raises(ValueError, match="empty"):
+            empirical_mutual_information(np.zeros((2, 2), dtype=int))
+
+    def test_rejects_negative_cell(self):
+        with pytest.raises(ValueError, match="negative"):
+            empirical_mutual_information([[5, -1], [0, 3]])
+
+    @pytest.mark.parametrize(
+        "counts",
+        [[1, 2, 3, 4], [[1, 2, 3], [4, 5, 6]], [[[1, 2], [3, 4]]], 5],
+        ids=["flat", "2x3", "1x2x2", "scalar"],
+    )
+    def test_rejects_a_table_that_is_not_2x2(self, counts):
+        with pytest.raises(ValueError, match="2x2"):
+            empirical_mutual_information(counts)
 
     def test_against_scipy_oracle(self):
         rng = np.random.default_rng(7)
         for _ in range(50):
-            c = rng.integers(1, 500, size=4)
-            counts = JointCounts2x2(*(int(x) for x in c))
-            joint = c.reshape(2, 2) / c.sum()
+            c = rng.integers(1, 500, size=(2, 2))
+            joint = c / c.sum()
             # I(A;B) = H(A) + H(B) - H(A,B), all in bits
             oracle = (
                 stats.entropy(joint.sum(axis=1), base=2)
                 + stats.entropy(joint.sum(axis=0), base=2)
                 - stats.entropy(joint.ravel(), base=2)
             )
-            assert empirical_mutual_information(counts) == pytest.approx(
-                max(oracle, 0.0), abs=1e-10
-            )
+            assert empirical_mutual_information(c) == pytest.approx(max(oracle, 0.0), abs=1e-10)

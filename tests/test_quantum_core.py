@@ -7,7 +7,16 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from oracles import bell_probabilities, fidelity, travel_density
+from oracles import (
+    BELL_KETS,
+    PAULI_MATRICES,
+    bell_overlaps,
+    bell_probabilities,
+    fidelity,
+    on_qubit,
+    projector_collapse,
+    travel_density,
+)
 from pingpong_qkd import attacks
 from pingpong_qkd.attacks import (
     MeasureResend,
@@ -21,6 +30,8 @@ from pingpong_qkd.pingpong import DECODE_MAP, ProtocolConfig, return_stage, run_
 from pingpong_qkd.quantum_core import (
     HOME,
     PAULI_I,
+    PAULI_X,
+    PAULI_Y,
     PAULI_Z,
     TRAVEL,
     BellOutcome,
@@ -30,7 +41,6 @@ from pingpong_qkd.quantum_core import (
     NoNoise,
     PhaseFlip,
     PureState,
-    _bell_weights,
     apply_noise,
     apply_pauli_x,
     apply_pauli_y,
@@ -55,15 +65,6 @@ INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
 # the decoded bit of each Bell outcome, by index in BELL_ORDER
 DECODE_BITS = np.array([DECODE_MAP[kind] for kind in BELL_ORDER])
-
-# Bell kets written out independently of the implementation, used as the
-# brute-force change-of-basis oracle
-ORACLE_BELL_KETS = {
-    BellOutcome.PSI_MINUS: np.array([0, INV_SQRT2, -INV_SQRT2, 0], dtype=complex),
-    BellOutcome.PSI_PLUS: np.array([0, INV_SQRT2, INV_SQRT2, 0], dtype=complex),
-    BellOutcome.PHI_PLUS: np.array([INV_SQRT2, 0, 0, INV_SQRT2], dtype=complex),
-    BellOutcome.PHI_MINUS: np.array([INV_SQRT2, 0, 0, -INV_SQRT2], dtype=complex),
-}
 
 
 def random_state(rng, n_qubits=2):
@@ -299,7 +300,7 @@ class TestBellProbabilities:
         for _ in range(300):
             state = random_state(rng)
             probs = bell_probabilities(state)
-            for kind, ket in ORACLE_BELL_KETS.items():
+            for kind, ket in BELL_KETS.items():
                 oracle = abs(np.vdot(ket, state.amps)) ** 2
                 worst = max(worst, abs(probs[kind] - oracle))
         assert worst < 1e-10
@@ -488,25 +489,61 @@ class TestNormPreservation:
                 assert np.sum(np.abs(state.amps) ** 2) == pytest.approx(1.0, abs=1e-12)
 
 
+class FixedUniform:
+    """A stand-in Generator whose every ``random()`` draw is ``u``."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self):
+        return self.u
+
+
+def same_bits(a, b):
+    return a.amps.tobytes() == b.amps.tobytes()
+
+
 class TestRowKernels:
-    # each row kernel against its single-state kernel, which draws the
-    # same uniforms one at a time; amplitudes agree to a few ulps
+    # each row kernel against dense-matrix oracles: np.kron Pauli matrices,
+    # the projector collapse P|psi>/sqrt(p) and overlaps with written-out
+    # Bell kets.  The oracles round differently, so amplitudes agree to a
+    # few ulps and an outcome is compared where its uniform is not within
+    # that of the weight.
     ROWS = 300
-    ATOL = 4 * np.finfo(float).eps
+    ATOL = 1e-14
+    BASIS = discrimination_basis(prepare_polarized(0.7), prepare_polarized(2.1))
 
-    def pairs(self, seed):
+    def rows(self, seed, n_qubits=2):
         rng = np.random.default_rng(seed)
-        states = [random_state(rng) for _ in range(self.ROWS)]
-        return states, np.array([s.amps for s in states])
+        return np.array([random_state(rng, n_qubits).amps for _ in range(self.ROWS)])
 
-    def test_apply_paulis_matches_single_paulis(self):
-        states, rows = self.pairs(1)
+    def check_outcomes(self, outcomes, u, weights):
+        clear = np.abs(u - weights) > self.ATOL
+        np.testing.assert_array_equal(outcomes[clear], (u < weights)[clear])
+
+    @pytest.mark.parametrize("n_qubits", [1, 2, 3])
+    def test_apply_paulis_match_kron_matrices(self, n_qubits):
+        rows = self.rows(1, n_qubits)
         paulis = np.random.default_rng(2).integers(4, size=self.ROWS)
-        ops = (lambda s, q: s, apply_pauli_x, apply_pauli_y, apply_pauli_z)
-        for qubit in (HOME, TRAVEL):
+        singles = (lambda s, q: s, apply_pauli_x, apply_pauli_y, apply_pauli_z)
+        for qubit in range(n_qubits):
+            matrices = [on_qubit(m, qubit, n_qubits) for m in PAULI_MATRICES]
             out = apply_paulis(rows, paulis, qubit)
-            for state, g, got in zip(states, paulis, out):
-                np.testing.assert_allclose(got, ops[g](state, qubit).amps, rtol=0, atol=self.ATOL)
+            for row, g, got in zip(rows, paulis, out):
+                expected = matrices[g] @ row
+                np.testing.assert_allclose(got, expected, rtol=0, atol=self.ATOL)
+                single = singles[g](PureState(row), qubit).amps
+                np.testing.assert_allclose(single, expected, rtol=0, atol=self.ATOL)
+
+    def test_apply_pauli_pairs_match_kron_products(self):
+        rows = self.rows(11)
+        first, second = np.random.default_rng(12).integers(4, size=(2, self.ROWS))
+        for qubit in (HOME, TRAVEL):
+            matrices = [on_qubit(m, qubit, 2) for m in PAULI_MATRICES]
+            out = apply_pauli_pairs(rows, first, second, qubit)
+            for row, a, b, got in zip(rows, first, second, out):
+                expected = matrices[b] @ matrices[a] @ row
+                np.testing.assert_allclose(got, expected, rtol=0, atol=self.ATOL)
 
     @pytest.mark.parametrize(
         "model",
@@ -514,53 +551,71 @@ class TestRowKernels:
         ids=repr,
     )
     def test_noise_paulis_match_apply_noise(self, model):
-        states, rows = self.pairs(3)
+        # the vectorized and the scalar choice of the Pauli, from the same uniforms
+        rows = self.rows(3)
         out = apply_paulis(rows, noise_paulis(model, np.random.default_rng(4).random(self.ROWS)), TRAVEL)
         rng = np.random.default_rng(4)
-        for state, got in zip(states, out):
-            expected = apply_noise(state, model, TRAVEL, rng).amps
-            np.testing.assert_allclose(got, expected, rtol=0, atol=self.ATOL)
+        for row, got in zip(rows, out):
+            expected = apply_noise(PureState(row), model, TRAVEL, rng).amps
+            np.testing.assert_array_equal(got, expected)
 
-    @pytest.mark.parametrize("qubit", [HOME, TRAVEL])
-    def test_measure_rows_matches_measure_computational(self, qubit):
-        states, rows = self.pairs(5)
-        outcomes, collapsed = measure_rows(rows, qubit, np.random.default_rng(6).random(self.ROWS))
-        rng = np.random.default_rng(6)
-        for state, bit, got in zip(states, outcomes, collapsed):
-            expected_bit, expected = measure_computational(state, qubit, rng)
-            assert bit == expected_bit
-            np.testing.assert_allclose(got, expected.amps, rtol=0, atol=self.ATOL)
+    @pytest.mark.parametrize("n_qubits", [1, 2, 3])
+    def test_measure_rows_matches_projector_collapse(self, n_qubits):
+        rows = self.rows(5, n_qubits)
+        u = np.random.default_rng(6).random(self.ROWS)
+        one = np.array([0.0, 1.0])
+        for qubit in range(n_qubits):
+            outcomes, collapsed = measure_rows(rows, qubit, u)
+            p_one = [projector_collapse(row, qubit, one)[0] for row in rows]
+            self.check_outcomes(outcomes, u, p_one)
+            for row, bit, got in zip(rows, outcomes, collapsed):
+                _, expected = projector_collapse(row, qubit, np.eye(2)[bit])
+                np.testing.assert_allclose(got, expected, rtol=0, atol=self.ATOL)
 
-    @pytest.mark.parametrize("qubit", [HOME, TRAVEL])
-    def test_measure_rows_in_basis_matches_measure_in_basis(self, qubit):
-        states, rows = self.pairs(7)
-        basis = discrimination_basis(prepare_polarized(0.7), prepare_polarized(2.1))
+    @pytest.mark.parametrize("n_qubits", [1, 2, 3])
+    def test_measure_rows_in_basis_matches_projector_collapse(self, n_qubits):
+        rows = self.rows(7, n_qubits)
         u = np.random.default_rng(8).random(self.ROWS)
-        outcomes, collapsed = measure_rows_in_basis(rows, qubit, basis, u)
-        rng = np.random.default_rng(8)
-        for state, found, got in zip(states, outcomes, collapsed):
-            expected_found, expected = measure_in_basis(state, qubit, basis, rng)
-            assert found == expected_found
-            np.testing.assert_allclose(got, expected.amps, rtol=0, atol=self.ATOL)
+        kets = [b.amps for b in self.BASIS]
+        for qubit in range(n_qubits):
+            found, collapsed = measure_rows_in_basis(rows, qubit, self.BASIS, u)
+            p_one = [projector_collapse(row, qubit, kets[1])[0] for row in rows]
+            self.check_outcomes(found, u, p_one)
+            for row, k, got in zip(rows, found, collapsed):
+                _, expected = projector_collapse(row, qubit, kets[k])
+                np.testing.assert_allclose(got, expected, rtol=0, atol=self.ATOL)
 
-    def test_bell_sample_rows_matches_bell_measure(self):
-        states, rows = self.pairs(9)
-        outcomes = bell_sample_rows(rows, np.random.default_rng(10).random(self.ROWS))
-        rng = np.random.default_rng(10)
-        assert [BELL_ORDER[k] for k in outcomes] == [bell_measure(s, rng) for s in states]
-        # both samplers compare against bitwise the same weights
-        assert np.array_equal(_bell_weights(rows), [_bell_weights(s.amps) for s in states])
+    def test_bell_sample_rows_matches_the_overlap_oracle(self):
+        rows = self.rows(9)
+        u = np.random.default_rng(10).random(self.ROWS)
+        outcomes = bell_sample_rows(rows, u)
+        cumulative = np.cumsum([bell_overlaps(row)[:3] for row in rows], axis=1)
+        clear = np.all(np.abs(u[:, None] - cumulative) > self.ATOL, axis=1)
+        expected = (cumulative <= u[:, None]).sum(axis=1)
+        np.testing.assert_array_equal(outcomes[clear], expected[clear])
+        assert clear.sum() > 0.99 * self.ROWS
 
-    def test_apply_pauli_pairs_matches_two_apply_paulis(self):
-        # every phase is 1, -1, i or -i, so the one gather is exact
-        _, rows = self.pairs(11)
-        first, second = np.random.default_rng(12).integers(4, size=(2, self.ROWS))
-        for qubit in (HOME, TRAVEL):
-            expected = apply_paulis(apply_paulis(rows, first, qubit), second, qubit)
-            np.testing.assert_array_equal(apply_pauli_pairs(rows, first, second, qubit), expected)
+    def test_cold_single_state_calls_equal_their_row_kernels(self):
+        # a state's first call fills its memo from its row kernel, fed the
+        # same uniform, so the two agree bitwise
+        paulis = ((PAULI_X, apply_pauli_x), (PAULI_Y, apply_pauli_y), (PAULI_Z, apply_pauli_z))
+        for row, u in zip(self.rows(19), np.random.default_rng(20).random(self.ROWS)):
+            one, draw = row[None], FixedUniform(u)
+            for qubit in (HOME, TRAVEL):
+                for g, pauli in paulis:
+                    image = pauli(PureState(row), qubit)
+                    assert image.amps.tobytes() == apply_paulis(one, g, qubit)[0].tobytes()
+                outcome, post = measure_computational(PureState(row), qubit, draw)
+                bits, collapsed = measure_rows(one, qubit, np.array([u]))
+                assert outcome == bits[0] and post.amps.tobytes() == collapsed[0].tobytes()
+                outcome, post = measure_in_basis(PureState(row), qubit, self.BASIS, draw)
+                found, collapsed = measure_rows_in_basis(one, qubit, self.BASIS, np.array([u]))
+                assert outcome == found[0] and post.amps.tobytes() == collapsed[0].tobytes()
+            kind = bell_measure(PureState(row), draw)
+            assert kind is BELL_ORDER[bell_sample_rows(one, np.array([u]))[0]]
 
     def test_measure_rows_both_matches_measure_rows_twice(self):
-        _, rows = self.pairs(13)
+        rows = self.rows(13)
         u = np.random.default_rng(14).random((self.ROWS, 2))
         travel, home = measure_rows_both(rows, u)
         expected_travel, collapsed = measure_rows(rows, TRAVEL, u[:, 0])
@@ -584,7 +639,7 @@ class TestRowKernels:
         sent, _ = send_stage(self.ROWS, NoEve(), model, np.random.default_rng(15))
         np.testing.assert_array_equal(sent, apply_paulis(psi, paulis, TRAVEL))
 
-        _, rows = self.pairs(16)
+        rows = self.rows(16)
         bits = np.random.default_rng(17).integers(2, size=self.ROWS).astype(np.uint8)
         u = np.random.default_rng(18).random((self.ROWS, int(noisy) + 1))
         encoded = apply_paulis(rows, np.where(bits == 1, PAULI_Z, PAULI_I), TRAVEL)
@@ -609,20 +664,6 @@ class TestRowKernels:
         rows = np.array([[0.0, 0.0, 1.0, 0.0]], dtype=complex)
         with pytest.raises(RuntimeError, match="zero-probability"):
             measure_rows_both(rows, np.array([[0.5, 1.0]]))
-
-
-class FixedUniform:
-    """A stand-in Generator whose every ``random()`` draw is ``u``."""
-
-    def __init__(self, u):
-        self.u = u
-
-    def random(self):
-        return self.u
-
-
-def same_bits(a, b):
-    return a.amps.tobytes() == b.amps.tobytes()
 
 
 class TestCachedKernels:
@@ -759,8 +800,8 @@ class TestCachedKernels:
         for _ in range(50):
             state = apply_pauli_z(apply_pauli_x(state, TRAVEL), TRAVEL)
         kept, state = 0, root
-        while ("x", TRAVEL) in state._memo or ("z", TRAVEL) in state._memo:
-            state = state._memo.get(("x", TRAVEL)) or state._memo[("z", TRAVEL)]
+        while (PAULI_X, TRAVEL) in state._memo or (PAULI_Z, TRAVEL) in state._memo:
+            state = state._memo.get((PAULI_X, TRAVEL)) or state._memo[(PAULI_Z, TRAVEL)]
             kept += 1
         assert kept == 3
 
